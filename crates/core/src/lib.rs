@@ -54,16 +54,13 @@ pub use counts::{
 };
 pub use frequent::QuantFrequentItemsets;
 pub use interest::{annotate_interest, RuleInterest};
-#[allow(deprecated)]
-pub use mine::mine_encoded;
 pub use miner::Miner;
 pub use miner::{UpdateInput, UpdateOutput};
 pub use output::RuleDecoder;
-#[allow(deprecated)]
-pub use pipeline::{mine_table, MiningOutput, MiningStats};
+pub use pipeline::{MiningOutput, MiningStats};
 pub use pool::WorkerPool;
 pub use rules::{generate_rules, QuantRule};
 pub use source::{
     mine_source, mine_source_captured, CaptureSource, ChunkedSource, CountError, CountSource,
-    InMemorySource, MergeSource,
+    Counted, InMemorySource, MergeSource, PairGrid,
 };

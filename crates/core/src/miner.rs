@@ -7,20 +7,22 @@ use std::time::Instant;
 
 use crate::config::{MinerConfig, MinerError, ScanKernel};
 use crate::counts::{encoding_fingerprint, update_precheck, SupportCounts};
-use crate::interest::annotate_interest;
-use crate::mine::{mine_encoded_ctx, MineStats, RunCtx};
-use crate::pipeline::{build_encoders, item_supports_of, MiningOutput, MiningStats};
+use crate::mine::{MineStats, RunCtx};
+use crate::pipeline::{build_encoders, MiningOutput};
 use crate::pool::WorkerPool;
-use crate::rules::generate_rules;
-use crate::source::{mine_source_captured, InMemorySource, MergeSource};
+use crate::source::{
+    mine_source, mine_source_captured, mine_with_source_ctx, InMemorySource, MergeSource,
+};
 use qar_itemset::CounterKind;
 use qar_table::{AttributeEncoder, Column, EncodedTable, Schema, Table, TableError};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
 /// A configured miner: the builder-style entry point for the pipeline.
 ///
-/// Compared with the deprecated free functions (`mine_table`,
-/// `mine_encoded`), a `Miner`:
+/// Every mining call runs the one level-wise driver
+/// ([`crate::source::mine_source`]) over an [`InMemorySource`] that
+/// carries this miner's scan pool, cancellation token and backend pin.
+/// A `Miner`:
 ///
 /// - emits one structured [`qar_trace::TraceEvent`] per pipeline
 ///   milestone into an attached [`ProgressSink`],
@@ -153,18 +155,24 @@ impl Miner {
         self.cache = None;
     }
 
-    fn ctx(&self) -> RunCtx<'_> {
-        // Multi-threaded configurations get this miner's own pool so
-        // repeated runs reuse one set of workers; a serial run needs no
-        // pool at all (and must not spawn the global one as a side
-        // effect).
+    /// The in-memory counting source for `encoded`, carrying this miner's
+    /// cancellation token and backend pin. Multi-threaded configurations
+    /// get this miner's own pool so repeated runs reuse one set of
+    /// workers; a serial run needs no pool at all (and must not spawn the
+    /// global one as a side effect).
+    fn source<'a>(&'a self, encoded: &'a EncodedTable) -> InMemorySource<'a> {
+        let mut source = InMemorySource::new(encoded, &self.config);
         let threads = self.config.effective_parallelism();
-        let pool = (threads > 1).then(|| self.pool.get_or_init(|| WorkerPool::new(threads)));
-        RunCtx {
-            sink: self.sink.as_deref(),
-            cancel: self.cancel.as_ref(),
-            pool,
+        if threads > 1 {
+            source = source.with_pool(self.pool.get_or_init(|| WorkerPool::new(threads)));
         }
+        if let Some(cancel) = &self.cancel {
+            source = source.with_cancel(cancel);
+        }
+        if let Some(kind) = self.force_counter {
+            source = source.with_counter(kind);
+        }
+        source
     }
 
     /// Run the full five-step pipeline over a raw [`Table`].
@@ -172,11 +180,37 @@ impl Miner {
     /// Repeated calls on a table with identical contents reuse the
     /// partitioned encoding from the previous call
     /// ([`MiningStats::encoding_reused`] reports which path ran).
+    ///
+    /// [`MiningStats::encoding_reused`]: crate::MiningStats::encoding_reused
     pub fn mine(&mut self, table: &Table) -> Result<MiningOutput, MinerError> {
+        self.run_on_table(table, false).map(|(output, _)| output)
+    }
+
+    /// [`Miner::mine`] with count capture: additionally returns the raw
+    /// support tallies of every counting pass as a [`SupportCounts`],
+    /// ready to persist in a catalog `COUNTS` section so later runs can
+    /// update incrementally via [`Miner::update`]. Results are identical
+    /// to [`Miner::mine`] (same itemsets, supports, rules, interest —
+    /// statistics agree under [`crate::MiningStats::normalized`]).
+    pub fn mine_with_counts(
+        &mut self,
+        table: &Table,
+    ) -> Result<(MiningOutput, SupportCounts), MinerError> {
+        let (output, counts) = self.run_on_table(table, true)?;
+        Ok((output, counts.expect("capture was requested")))
+    }
+
+    /// Steps 1–2 (or the cached encoding), then Steps 3–5 through the
+    /// driver, capturing the raw counts when `capture` is set.
+    fn run_on_table(
+        &mut self,
+        table: &Table,
+        capture: bool,
+    ) -> Result<(MiningOutput, Option<SupportCounts>), MinerError> {
         self.config.validate()?;
         crate::pipeline::validate_partitioning(table.schema(), &self.config)?;
         if table.is_empty() {
-            return Err(MinerError::Schema(qar_table::TableError::EmptyTable));
+            return Err(MinerError::Schema(TableError::EmptyTable));
         }
         let started = Instant::now();
 
@@ -199,68 +233,27 @@ impl Miner {
         let cache = self.cache.as_ref().expect("cache populated above");
 
         // Steps 3–5 over the encoded table.
-        let mut output = self.finish_pipeline(&cache.encoded, started)?;
-        output.stats.intervals_per_attribute = cache.intervals.clone();
-        output.stats.encoding_reused = reused;
-        Ok(output)
-    }
-
-    /// [`Miner::mine`] with count capture: additionally returns the raw
-    /// support tallies of every counting pass as a [`SupportCounts`],
-    /// ready to persist in a catalog `COUNTS` section so later runs can
-    /// update incrementally via [`Miner::update`].
-    ///
-    /// Steps 3–5 run through the count-distribution driver
-    /// ([`crate::source::mine_source`]); results are identical to
-    /// [`Miner::mine`] (same itemsets, supports, rules, interest —
-    /// statistics agree under [`MiningStats::normalized`]).
-    pub fn mine_with_counts(
-        &mut self,
-        table: &Table,
-    ) -> Result<(MiningOutput, SupportCounts), MinerError> {
-        self.config.validate()?;
-        crate::pipeline::validate_partitioning(table.schema(), &self.config)?;
-        if table.is_empty() {
-            return Err(MinerError::Schema(TableError::EmptyTable));
-        }
-        let started = Instant::now();
-        let fingerprint = table_fingerprint(table);
-        let reused = match &self.cache {
-            Some(cache) if cache.fingerprint == fingerprint => true,
-            _ => {
-                let (encoders, intervals) = build_encoders(table, &self.config)?;
-                let encoded = EncodedTable::encode(table, encoders)?;
-                self.cache = Some(EncodingCache {
-                    fingerprint,
-                    encoded,
-                    intervals,
-                });
-                false
-            }
+        let mut source = self.source(&cache.encoded);
+        let (sink, cancel) = (self.sink.as_deref(), self.cancel.as_ref());
+        let (mut output, captured) = if capture {
+            let (output, captured) = mine_source_captured(&mut source, &self.config, sink, cancel)?;
+            (output, Some(captured))
+        } else {
+            (mine_source(&mut source, &self.config, sink, cancel)?, None)
         };
-        let cache = self.cache.as_ref().expect("cache populated above");
-
-        let mut source = InMemorySource::new(&cache.encoded, &self.config);
-        if let Some(cancel) = self.cancel.as_ref() {
-            source = source.with_cancel(cancel);
-        }
-        let (mut output, captured) = mine_source_captured(
-            &mut source,
-            &self.config,
-            self.sink.as_deref(),
-            self.cancel.as_ref(),
-        )?;
         output.stats.intervals_per_attribute = cache.intervals.clone();
         output.stats.encoding_reused = reused;
         output.stats.elapsed = started.elapsed();
-        let counts = SupportCounts::assemble(
-            cache.encoded.schema(),
-            cache.encoded.encoders(),
-            table.num_rows() as u64,
-            &self.config,
-            cache.intervals.clone(),
-            captured,
-        );
+        let counts = captured.map(|captured| {
+            SupportCounts::assemble(
+                cache.encoded.schema(),
+                cache.encoded.encoders(),
+                table.num_rows() as u64,
+                &self.config,
+                cache.intervals.clone(),
+                captured,
+            )
+        });
         Ok((output, counts))
     }
 
@@ -333,13 +326,7 @@ impl Miner {
         let total_rows = counts.num_rows + delta.num_rows() as u64;
         let meta =
             EncodedTable::header_only(schema.clone(), encoders.to_vec(), total_rows as usize);
-        let delta_source = delta_encoded.as_ref().map(|enc| {
-            let mut src = InMemorySource::new(enc, &self.config);
-            if let Some(cancel) = self.cancel.as_ref() {
-                src = src.with_cancel(cancel);
-            }
-            src
-        });
+        let delta_source = delta_encoded.as_ref().map(|enc| self.source(enc));
         let mut merge = MergeSource::new(counts, delta_source, meta);
         match mine_source_captured(
             &mut merge,
@@ -413,67 +400,29 @@ impl Miner {
     }
 
     /// Run Steps 3–5 over an already-encoded table (partitioning was
-    /// done by the caller, so [`MiningStats::intervals_per_attribute`]
+    /// done by the caller, so [`crate::MiningStats::intervals_per_attribute`]
     /// is empty and nothing is cached).
     pub fn mine_encoded(&self, table: &EncodedTable) -> Result<MiningOutput, MinerError> {
-        self.config.validate()?;
-        self.finish_pipeline(table, Instant::now())
+        mine_source(
+            &mut self.source(table),
+            &self.config,
+            self.sink.as_deref(),
+            self.cancel.as_ref(),
+        )
     }
 
-    /// Frequent itemsets only (Step 3) over an already-encoded table —
-    /// the trace/cancel-aware replacement for the deprecated
-    /// `mine_encoded` free function.
+    /// Frequent itemsets only (Step 3) over an already-encoded table.
     pub fn frequent_itemsets(
         &self,
         table: &EncodedTable,
     ) -> Result<(crate::frequent::QuantFrequentItemsets, MineStats), MinerError> {
-        self.config.validate()?;
-        mine_encoded_ctx(table, &self.config, self.force_counter, self.ctx())
-    }
-
-    /// Steps 3–5: frequent itemsets, rules, interest, stats assembly.
-    fn finish_pipeline(
-        &self,
-        encoded: &EncodedTable,
-        started: Instant,
-    ) -> Result<MiningOutput, MinerError> {
-        let mining_started = Instant::now();
-        let (frequent, mine_stats) =
-            mine_encoded_ctx(encoded, &self.config, self.force_counter, self.ctx())?;
-        let elapsed_mining = mining_started.elapsed();
-
-        // Step 4: rules.
-        let rules = generate_rules(&frequent, self.config.min_confidence);
-
-        // Step 5: interest.
-        let item_supports = item_supports_of(encoded);
-        let interest = self
-            .config
-            .interest
-            .as_ref()
-            .map(|ic| annotate_interest(&rules, &frequent, &item_supports, ic));
-
-        let rules_total = rules.len();
-        let rules_interesting = match &interest {
-            Some(v) => v.iter().filter(|x| x.interesting).count(),
-            None => rules_total,
+        let ctx = RunCtx {
+            sink: self.sink.as_deref(),
+            cancel: self.cancel.as_ref(),
         };
-        Ok(MiningOutput {
-            frequent,
-            rules,
-            interest,
-            item_supports,
-            stats: MiningStats {
-                intervals_per_attribute: Vec::new(),
-                mine: mine_stats,
-                rules_total,
-                rules_interesting,
-                elapsed: started.elapsed(),
-                elapsed_mining,
-                encoding_reused: false,
-            },
-            encoded: encoded.clone(),
-        })
+        let (frequent, stats, _) =
+            mine_with_source_ctx(&mut self.source(table), &self.config, ctx)?;
+        Ok((frequent, stats))
     }
 }
 
@@ -624,13 +573,19 @@ mod tests {
     }
 
     #[test]
-    fn facade_matches_deprecated_free_function() {
-        #[allow(deprecated)]
-        let via_free = crate::pipeline::mine_table(&people_table(), &config()).unwrap();
-        let via_miner = Miner::new(config()).mine(&people_table()).unwrap();
-        assert_eq!(via_free.frequent.levels, via_miner.frequent.levels);
-        assert_eq!(via_free.rules.len(), via_miner.rules.len());
-        assert_eq!(via_free.stats.rules_total, via_miner.stats.rules_total);
+    fn mine_matches_mine_encoded_on_the_same_encoding() {
+        let table = people_table();
+        let via_table = Miner::new(config()).mine(&table).unwrap();
+        let via_encoded = Miner::new(config())
+            .mine_encoded(&via_table.encoded)
+            .unwrap();
+        assert_eq!(via_table.frequent.levels, via_encoded.frequent.levels);
+        assert_eq!(via_table.rules, via_encoded.rules);
+        assert_eq!(via_table.stats.rules_total, via_encoded.stats.rules_total);
+        assert_eq!(
+            via_table.stats.normalized().mine,
+            via_encoded.stats.normalized().mine
+        );
     }
 
     #[test]
@@ -893,6 +848,29 @@ mod tests {
             counts.fingerprint,
             encoding_fingerprint(captured.encoded.schema(), captured.encoded.encoders())
         );
+    }
+
+    #[test]
+    fn mine_with_counts_keeps_the_miners_backend_pin_and_pool() {
+        let mut cfg = update_config();
+        cfg.parallelism = std::num::NonZeroUsize::new(2);
+        let table = bigger_table(0..60);
+        let plain = Miner::new(cfg.clone()).mine(&table).unwrap();
+        let mut miner = Miner::new(cfg).with_counter(CounterKind::RTree);
+        let (pinned, _) = miner.mine_with_counts(&table).unwrap();
+        assert!(
+            pinned.stats.mine.pass_stats[0].rtree_backed > 0,
+            "the R*-tree pin must reach pass 2"
+        );
+        assert!(
+            miner.pool.get().is_some(),
+            "the miner's own pool must run the scans"
+        );
+        assert_eq!(plain.frequent.levels, pinned.frequent.levels);
+        assert_eq!(plain.rules, pinned.rules);
+        let (a, b) = (plain.stats.normalized(), pinned.stats.normalized());
+        assert_eq!(a.mine, b.mine);
+        assert_eq!(a.intervals_per_attribute, b.intervals_per_attribute);
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct MiningStats {
     pub elapsed_mining: Duration,
     /// True when this run reused the [`crate::Miner`]'s cached encoding
     /// instead of re-partitioning and re-encoding the table (always false
-    /// for the first run on a table and for the deprecated free-function
-    /// entry points).
+    /// for the first run on a table and for runs over an already-encoded
+    /// table or another counting source).
     pub encoding_reused: bool,
 }
 
@@ -270,40 +270,22 @@ pub fn build_encoders_from_summary(
     Ok((encoders, intervals))
 }
 
-/// Run the full pipeline over a raw [`Table`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `Miner` facade: `Miner::new(config.clone()).mine(&table)` \
-            (it adds progress events, cancellation, and encoding reuse)"
-)]
-pub fn mine_table(table: &Table, config: &MinerConfig) -> Result<MiningOutput, MinerError> {
-    crate::miner::Miner::new(config.clone()).mine(table)
-}
-
 /// Exact per-item supports of an encoded table.
 pub fn item_supports_of(table: &EncodedTable) -> ItemSupports {
-    let schema = table.schema();
-    let value_counts: Vec<Vec<u64>> = schema
-        .iter()
-        .map(|(id, _)| {
-            let mut counts = vec![0u64; table.cardinality(id) as usize];
-            for &code in table.codes(id) {
-                counts[code as usize] += 1;
-            }
-            counts
-        })
-        .collect();
+    let value_counts = crate::frequent::attribute_value_counts(table);
     ItemSupports::from_value_counts(&value_counts, table.num_rows() as u64)
 }
 
 #[cfg(test)]
-// The tests exercise the deprecated `mine_table` wrapper on purpose: it must
-// keep behaving exactly like the `Miner` facade it delegates to.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::config::{InterestConfig, InterestMode};
+    use crate::miner::Miner;
     use qar_table::{Schema, Value};
+
+    fn mine(table: &Table, config: &MinerConfig) -> Result<MiningOutput, MinerError> {
+        Miner::new(config.clone()).mine(table)
+    }
 
     fn people_table() -> Table {
         let schema = Schema::builder()
@@ -343,7 +325,7 @@ mod tests {
 
     #[test]
     fn figure_1_rules_found_end_to_end() {
-        let out = mine_table(&people_table(), &fig1_config()).unwrap();
+        let out = mine(&people_table(), &fig1_config()).unwrap();
         let rendered: Vec<String> = (0..out.rules.len()).map(|i| out.format_rule(i)).collect();
         // Figure 1's two sample rules (full resolution: 30..39 appears as
         // the observed 34..38).
@@ -367,7 +349,7 @@ mod tests {
     fn partitioning_reduces_cardinality() {
         let mut config = fig1_config();
         config.partitioning = PartitionSpec::FixedIntervals(2);
-        let out = mine_table(&people_table(), &config).unwrap();
+        let out = mine(&people_table(), &config).unwrap();
         // Age (5 distinct) partitioned to 2; NumCars (3 distinct) also > 2.
         assert_eq!(out.stats.intervals_per_attribute[0], Some(2));
         assert_eq!(out.stats.intervals_per_attribute[1], None); // categorical
@@ -380,7 +362,7 @@ mod tests {
         // K=3, minsup 0.4, n=2 quantitative: 2·2/(0.4·2) = 5 intervals;
         // Age has exactly 5 distinct values -> NOT partitioned (5 <= 5).
         config.partitioning = PartitionSpec::CompletenessLevel(3.0);
-        let out = mine_table(&people_table(), &config).unwrap();
+        let out = mine(&people_table(), &config).unwrap();
         assert_eq!(out.stats.intervals_per_attribute[0], None);
     }
 
@@ -392,7 +374,7 @@ mod tests {
             mode: InterestMode::SupportOrConfidence,
             prune_candidates: false,
         });
-        let out = mine_table(&people_table(), &config).unwrap();
+        let out = mine(&people_table(), &config).unwrap();
         let verdicts = out.interest.as_ref().expect("interest configured");
         assert_eq!(verdicts.len(), out.rules.len());
         assert_eq!(out.stats.rules_interesting, out.interesting_rules().len());
@@ -404,7 +386,7 @@ mod tests {
         let schema = Schema::builder().quantitative("x").build().unwrap();
         let t = Table::new(schema);
         assert!(matches!(
-            mine_table(&t, &fig1_config()),
+            mine(&t, &fig1_config()),
             Err(MinerError::Schema(_))
         ));
     }
@@ -414,7 +396,7 @@ mod tests {
         let mut config = fig1_config();
         config.min_support = 0.0;
         assert!(matches!(
-            mine_table(&people_table(), &config),
+            mine(&people_table(), &config),
             Err(MinerError::Config(_))
         ));
     }
@@ -425,7 +407,7 @@ mod tests {
         let mut map = std::collections::BTreeMap::new();
         map.insert("Age".to_string(), 2usize);
         config.partitioning = PartitionSpec::PerAttribute(map);
-        let out = mine_table(&people_table(), &config).unwrap();
+        let out = mine(&people_table(), &config).unwrap();
         assert_eq!(out.stats.intervals_per_attribute[0], Some(2));
         assert_eq!(out.stats.intervals_per_attribute[2], None); // unlisted
     }

@@ -1,29 +1,32 @@
-//! Count-distribution mining over an abstract counting backend.
+//! The level-wise search over an abstract counting backend.
 //!
-//! The level-wise loop of [`crate::mine`] needs only two things from the
-//! data: the pass-1 per-attribute value histograms and, for every later
-//! pass, the raw support count of each candidate itemset. Both are sums
-//! over rows, so counts taken over *disjoint row partitions* merge by
-//! element-wise `u64` addition into exactly the whole-table counts.
+//! The level-wise loop needs only three things from the data: the pass-1
+//! per-attribute value histograms, the pass-2 pair counts and, for every
+//! later pass, the raw support count of each candidate itemset. All are
+//! sums over rows, so counts taken over *disjoint row partitions* merge
+//! by element-wise `u64` addition into exactly the whole-table counts.
 //!
-//! [`CountSource`] abstracts that contract. [`mine_source`] then runs the
-//! complete Steps 3–5 pipeline — candidate generation, rule generation and
-//! the interest measure all happen on the caller's side, only counting is
-//! delegated — which is precisely the *count distribution* scheme for
-//! distributed Apriori: every participant counts its partition, the
-//! coordinator merges and decides. Because candidate generation is global
-//! and counts are exact integers, the result is bit-identical to the
-//! serial miner, whatever the partitioning.
+//! [`CountSource`] abstracts that contract, and this module's driver
+//! (behind [`mine_source`]) is the one level-wise loop every mining path
+//! runs: the [`Miner`] facade over an [`InMemorySource`], `--chunk-rows`
+//! over a [`ChunkedSource`], `--workers` over the TCP source of the
+//! `qar-dist` crate, `--update` over a [`MergeSource`], and `--store`
+//! through a [`CaptureSource`] around any of them. Candidate generation, rule
+//! generation and the interest measure all happen on the driver's side;
+//! only counting is delegated. That is the *count distribution* scheme
+//! for distributed Apriori: every participant counts its partition, the
+//! coordinator merges and decides. Because candidate generation is
+//! global and counts are exact integers, the result is bit-identical
+//! whatever the partitioning.
 //!
-//! Two local sources live here:
+//! Pass 2 is counted implicitly: the driver sends a [`PairGrid`] (each
+//! attribute's frequent items) and gets back one count per `C_2` cell in
+//! the grid's canonical order, which every source fills from dense
+//! per-attribute-pair arrays instead of an explicit 2-itemset list. A
+//! plain in-memory mine records no raw counts, so its source keeps only
+//! the frequent cells as it reads the arrays out.
 //!
-//! * [`InMemorySource`] — counts an [`EncodedTable`] directly (the
-//!   reference implementation the others are tested against),
-//! * [`ChunkedSource`] — counts a [`qar_table::ChunkStore`] one spilled
-//!   chunk at a time, so tables larger than memory mine out-of-core.
-//!
-//! The TCP-backed source of the `qar-dist` crate implements the same
-//! trait over a pool of worker processes.
+//! [`Miner`]: crate::Miner
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -35,9 +38,13 @@ use crate::frequent::{attribute_value_counts, frequent_items_from_counts, QuantF
 use crate::interest::{annotate_interest, ItemSupports};
 use crate::mine::{pass_finished_event, MineStats, RunCtx};
 use crate::pipeline::{MiningOutput, MiningStats};
+use crate::pool::WorkerPool;
 use crate::rules::generate_rules;
-use crate::supercand::{count_candidates_opts, PassStats, ScanOptions};
-use qar_itemset::Itemset;
+pub use crate::supercand::PairGrid;
+use crate::supercand::{
+    count_candidates_opts, count_pairs_opts, scan_pairs, PassStats, ScanOptions, PAIR_CELL_BUDGET,
+};
+use qar_itemset::{CounterKind, Itemset};
 use qar_table::{AttributeKind, ChunkStore, EncodedTable};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
@@ -70,6 +77,13 @@ impl From<crate::supercand::ScanCancelled> for CountError {
     }
 }
 
+/// Raw counts plus the statistics of the scan that produced them.
+pub type Counted = (Vec<u64>, PassStats);
+
+/// The frequent itemsets of a pass with their counts, plus the statistics
+/// of the scan that found them.
+pub type Frequent = (Vec<(Itemset, u64)>, PassStats);
+
 /// A counting backend for the level-wise search.
 ///
 /// Implementations must satisfy the count-distribution contract: the
@@ -77,7 +91,9 @@ impl From<crate::supercand::ScanCancelled> for CountError {
 /// by support thresholds), as if computed by a single serial scan. Any
 /// partitioning — across chunks, processes, or machines — must be over
 /// disjoint row subsets whose per-partition counts are merged by `u64`
-/// addition.
+/// addition. Each counting call also returns the [`PassStats`] of its
+/// scan (time, merge time, counter bytes, kernel, backends), which the
+/// driver reports in the pass's `pass_finished` event.
 pub trait CountSource {
     /// The schema and encoders of the table being mined. A decode-only
     /// header table ([`EncodedTable::header_only`]) is sufficient — the
@@ -91,21 +107,77 @@ pub trait CountSource {
     /// merged across partitions.
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError>;
 
-    /// Pass `k ≥ 2`: the raw support count of each candidate, aligned
+    /// Pass 2: the raw support count of every cell of `grid`, in the
+    /// grid's canonical order ([`PairGrid::cells`]), merged across
+    /// partitions. Never called with an empty grid.
+    fn count_pairs(&mut self, grid: &PairGrid) -> Result<Counted, CountError>;
+
+    /// Pass 2 as the driver consumes it: the cells of `grid` counted at
+    /// least `min_count` times. By default the raw
+    /// [`CountSource::count_pairs`] answer, thresholded; a source whose
+    /// raw counts nobody records may threshold during its readout
+    /// instead and never hold a count per cell.
+    fn frequent_pairs(&mut self, grid: &PairGrid, min_count: u64) -> Result<Frequent, CountError> {
+        frequent_of_all_pairs(self, grid, min_count)
+    }
+
+    /// Pass `k ≥ 3`: the raw support count of each candidate, aligned
     /// with `candidates`, merged across partitions.
-    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError>;
+    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Counted, CountError>;
 }
 
-/// Mine all frequent itemsets using `source` for every counting scan.
+/// An answer of the wrong length is an error.
+fn aligned(pass: usize, counted: Counted, wanted: usize) -> Result<Counted, CountError> {
+    match counted.0.len() == wanted {
+        true => Ok(counted),
+        false => Err(CountError::Failed(MinerError::Distributed(format!(
+            "pass {pass}: source returned {} counts for {wanted} candidates",
+            counted.0.len()
+        )))),
+    }
+}
+
+/// The default [`CountSource::frequent_pairs`]: the frequent cells of the
+/// whole [`CountSource::count_pairs`] answer.
+fn frequent_of_all_pairs<S: CountSource + ?Sized>(
+    source: &mut S,
+    grid: &PairGrid,
+    min_count: u64,
+) -> Result<Frequent, CountError> {
+    if grid.is_empty() {
+        return Ok((Vec::new(), PassStats::default()));
+    }
+    let (counts, stats) = aligned(2, source.count_pairs(grid)?, grid.len())?;
+    let frequent = grid.cells().zip(counts).filter(|&(_, c)| c >= min_count);
+    let level = frequent.map(|((a, b), c)| (Itemset::new(vec![a, b]), c));
+    Ok((level.collect(), stats))
+}
+
+/// Settle a counting call into the run's result: cancellation becomes
+/// [`MinerError::Cancelled`] carrying the completed passes' statistics.
+fn settle<T>(
+    counted: Result<T, CountError>,
+    ctx: &RunCtx<'_>,
+    pass: usize,
+    stats: &mut MineStats,
+) -> Result<T, MinerError> {
+    match counted {
+        Ok(counted) => Ok(counted),
+        Err(CountError::Cancelled) => Err(ctx.cancelled(pass, std::mem::take(stats))),
+        Err(CountError::Failed(e)) => Err(e),
+    }
+}
+
+/// Mine all frequent itemsets using `source` for every counting scan —
+/// the level-wise loop of Section 5.
 ///
-/// Mirrors [`crate::mine::mine_encoded_ctx`] event-for-event and
-/// stat-for-stat, with one structural difference: pass 2 counts an
-/// explicit candidate list (the cross product of frequent items over
-/// distinct attribute pairs — the same set the serial implicit pair pass
-/// counts, so `candidates_per_pass` agrees) because implicit pair
-/// counting cannot be delegated through the count-vector interface.
+/// Every pass emits its `pass_started`/`pass_finished` events into
+/// `ctx.sink`, and `ctx.cancel` aborts the run cooperatively at pass
+/// boundaries (the source checks it inside its scans), returning the
+/// completed passes' statistics in [`MinerError::Cancelled`]. Pass 2 is
+/// always recorded, with zero candidates when no attribute pair exists.
 ///
-/// Also returns the merged pass-1 value counts (the driver reuses them
+/// Also returns the merged pass-1 value counts (the pipeline reuses them
 /// for [`ItemSupports`] instead of re-scanning).
 pub(crate) fn mine_with_source_ctx(
     source: &mut dyn CountSource,
@@ -158,11 +230,13 @@ pub(crate) fn mine_with_source_ctx(
         .collect();
     let value_counts = items.value_counts;
 
-    // Lemma 5 interest prune — identical to the serial path (it depends
-    // only on level-1 fractions and the schema, both already global).
+    // Lemma 5 interest prune (only sound when the user wants support AND
+    // confidence above expectation). It depends only on level-1 fractions
+    // and the schema, both already global.
     if let Some(interest) = &config.interest {
         if interest.prune_candidates && interest.mode == InterestMode::SupportAndConfidence {
             let before = level1.len();
+            // A transient store so the prune can see fractions.
             let mut probe = QuantFrequentItemsets::new(num_rows);
             probe.push_level(level1.clone());
             let schema = source.meta().schema();
@@ -188,6 +262,8 @@ pub(crate) fn mine_with_source_ctx(
         shard_scan_us: Vec::new(),
         pooled: false,
         memoized: false,
+        // Pass 1 is a plain per-attribute value count — no hash tree, no
+        // cache, no masks — which is the direct kernel's shape.
         kernel: "direct".to_string(),
         distinct_tuples: 0,
         memo_hits: 0,
@@ -212,46 +288,32 @@ pub(crate) fn mine_with_source_ctx(
             return Err(ctx.cancelled(k, stats));
         }
         let prev = frequent.levels.last().expect("level 1 pushed");
-        let candidates = generate_candidates(prev);
-        if candidates.is_empty() {
-            if k == 2 {
-                // The serial implicit pair pass records pass 2 (with zero
-                // candidates) even when no attribute pair exists; mirror
-                // that so stats and traces stay aligned.
-                stats.candidates_per_pass.push(0);
-                ctx.emit(|| TraceEvent::PassStarted {
-                    pass: k,
-                    candidates: 0,
-                });
-                let pass = PassStats::default();
-                ctx.emit(|| pass_finished_event(k, 0, 0, &pass));
-                stats.pass_stats.push(pass);
-            }
+        // C_2 is the cross product of frequent items over distinct
+        // attribute pairs — the source counts it implicitly from the
+        // per-attribute item lists instead of a materialized list.
+        let grid = (k == 2).then(|| PairGrid::from_level1(prev));
+        let candidates = match grid {
+            Some(_) => Vec::new(),
+            None => generate_candidates(prev),
+        };
+        let wanted = grid.as_ref().map_or(candidates.len(), PairGrid::len);
+        if wanted == 0 && k > 2 {
             break;
         }
-        stats.candidates_per_pass.push(candidates.len());
+        stats.candidates_per_pass.push(wanted);
         ctx.emit(|| TraceEvent::PassStarted {
             pass: k,
-            candidates: candidates.len(),
+            candidates: wanted,
         });
-        let counts = match source.count(k, &candidates) {
-            Ok(c) => c,
-            Err(CountError::Cancelled) => return Err(ctx.cancelled(k, stats)),
-            Err(CountError::Failed(e)) => return Err(e),
+        let (level, pass) = match &grid {
+            Some(grid) => settle(source.frequent_pairs(grid, min_count), &ctx, k, &mut stats)?,
+            None => {
+                let counted = (source.count(k, &candidates)).and_then(|c| aligned(k, c, wanted));
+                let (counts, pass) = settle(counted, &ctx, k, &mut stats)?;
+                let frequent = candidates.into_iter().zip(counts);
+                (frequent.filter(|&(_, c)| c >= min_count).collect(), pass)
+            }
         };
-        if counts.len() != candidates.len() {
-            return Err(MinerError::Distributed(format!(
-                "pass {k}: source returned {} counts for {} candidates",
-                counts.len(),
-                candidates.len()
-            )));
-        }
-        let level: Vec<(Itemset, u64)> = candidates
-            .into_iter()
-            .zip(counts)
-            .filter(|(_, c)| *c >= min_count)
-            .collect();
-        let pass = PassStats::default();
         ctx.emit(|| pass_finished_event(k, stats.candidates_per_pass[k - 2], level.len(), &pass));
         stats.pass_stats.push(pass);
         if level.is_empty() {
@@ -270,11 +332,10 @@ pub(crate) fn mine_with_source_ctx(
 /// Run the complete Steps 3–5 pipeline (frequent itemsets, rules,
 /// interest) over an abstract counting backend.
 ///
-/// The result is bit-identical to [`crate::Miner::mine_encoded`] on the
-/// corresponding in-memory table: same frequent itemsets and supports,
-/// same rules, same interest verdicts. Statistics differ only in their
-/// volatile fields (timings, kernels) — [`MiningStats::normalized`]
-/// projections agree exactly.
+/// The result is bit-identical for every source over the same rows:
+/// same frequent itemsets and supports, same rules, same interest
+/// verdicts. Statistics differ only in their volatile fields (timings,
+/// kernels) — [`MiningStats::normalized`] projections agree exactly.
 pub fn mine_source(
     source: &mut dyn CountSource,
     config: &MinerConfig,
@@ -283,21 +344,15 @@ pub fn mine_source(
 ) -> Result<MiningOutput, MinerError> {
     config.validate()?;
     let started = Instant::now();
-    let ctx = RunCtx {
-        sink,
-        cancel,
-        pool: None,
-    };
-
-    let mining_started = Instant::now();
+    let ctx = RunCtx { sink, cancel };
     let (frequent, mine_stats, value_counts) = mine_with_source_ctx(source, config, ctx)?;
-    let elapsed_mining = mining_started.elapsed();
+    let elapsed_mining = started.elapsed();
 
     // Step 4: rules.
     let rules = generate_rules(&frequent, config.min_confidence);
 
-    // Step 5: interest — from the merged pass-1 histograms, which equal
-    // the serial path's whole-table scan.
+    // Step 5: interest — from the merged pass-1 histograms, which equal a
+    // whole-table scan.
     let item_supports = ItemSupports::from_value_counts(&value_counts, frequent.num_rows);
     let interest = config
         .interest
@@ -330,7 +385,9 @@ pub fn mine_source(
 /// A pass-through [`CountSource`] that records everything the driver
 /// asked of the inner source: the pass-1 histograms and every
 /// `(pass, candidate, raw count)` triple. The recording is exactly the
-/// [`CapturedCounts`] a catalog persists for later incremental updates.
+/// [`CapturedCounts`] a catalog persists for later incremental updates;
+/// pass 2 is expanded from the grid into its `C_2` itemsets in canonical
+/// order, which is the order an explicit `generate_candidates` list has.
 pub struct CaptureSource<'s> {
     inner: &'s mut dyn CountSource,
     value_counts: Option<Vec<Vec<u64>>>,
@@ -371,19 +428,23 @@ impl CountSource for CaptureSource<'_> {
         Ok(counts)
     }
 
-    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let counts = self.inner.count(pass, candidates)?;
-        if counts.len() == candidates.len() {
-            self.passes.push((
-                pass as u32,
-                candidates
-                    .iter()
-                    .cloned()
-                    .zip(counts.iter().copied())
-                    .collect(),
-            ));
+    fn count_pairs(&mut self, grid: &PairGrid) -> Result<Counted, CountError> {
+        let (counts, stats) = self.inner.count_pairs(grid)?;
+        if counts.len() == grid.len() {
+            let entries = (grid.cells().zip(counts.iter().copied()))
+                .map(|((a, b), c)| (Itemset::new(vec![a, b]), c));
+            self.passes.push((2, entries.collect()));
         }
-        Ok(counts)
+        Ok((counts, stats))
+    }
+
+    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Counted, CountError> {
+        let (counts, stats) = self.inner.count(pass, candidates)?;
+        if counts.len() == candidates.len() {
+            let entries = candidates.iter().cloned().zip(counts.iter().copied());
+            self.passes.push((pass as u32, entries.collect()));
+        }
+        Ok((counts, stats))
     }
 }
 
@@ -404,7 +465,9 @@ pub fn mine_source_captured(
 /// The incremental-update [`CountSource`]: persisted base counts plus a
 /// delta-only source, merged element-wise.
 ///
-/// `value_counts` is base histograms + delta histograms. `count` serves
+/// `value_counts` is base histograms + delta histograms. Pass 2 adds the
+/// base run's pass-2 tallies to the delta's by position when the grid
+/// is the base run's grid (the common case), and every later pass serves
 /// each candidate as its base tally (looked up in the persisted pass
 /// records) plus the delta source's tally — so the only rows ever
 /// scanned are the delta's. By the count-distribution invariant the sums
@@ -442,6 +505,15 @@ impl<'a, S: CountSource> MergeSource<'a, S> {
         self.delta
     }
 
+    fn base_pass(&self, pass: usize) -> Option<&'a [(Itemset, u64)]> {
+        let base: &'a SupportCounts = self.base;
+        base.captured
+            .passes
+            .iter()
+            .find(|(p, _)| *p == pass as u32)
+            .map(|(_, entries)| entries.as_slice())
+    }
+
     fn base_counts(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
         let diverged = || {
             CountError::Failed(MinerError::Update(format!(
@@ -449,23 +521,58 @@ impl<'a, S: CountSource> MergeSource<'a, S> {
                  (a support crossed a threshold); full re-mine required"
             )))
         };
-        let map = match self.pass_maps.entry(pass as u32) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let recorded = self
-                    .base
-                    .captured
-                    .passes
-                    .iter()
-                    .find(|(p, _)| *p == pass as u32)
-                    .ok_or_else(diverged)?;
-                e.insert(recorded.1.iter().cloned().collect())
-            }
-        };
+        let recorded = self.base_pass(pass).ok_or_else(diverged)?;
+        let map = self
+            .pass_maps
+            .entry(pass as u32)
+            .or_insert_with(|| recorded.iter().cloned().collect());
         candidates
             .iter()
             .map(|c| map.get(c).copied().ok_or_else(diverged))
             .collect()
+    }
+
+    /// Base pass-2 tallies for `grid`: read off by position when the base
+    /// run's record holds exactly these cells, else looked up per cell (a
+    /// grid that lost items since the base run is still servable).
+    fn base_pair_counts(&mut self, grid: &PairGrid) -> Result<Vec<u64>, CountError> {
+        let recorded = self.base_pass(2).filter(|r| r.len() == grid.len());
+        if let Some(recorded) = recorded {
+            let same_cells = (recorded.iter().zip(grid.cells()))
+                .all(|((itemset, _), (a, b))| itemset.items() == [a, b]);
+            if same_cells {
+                return Ok(recorded.iter().map(|&(_, c)| c).collect());
+            }
+        }
+        self.base_counts(2, &grid.itemsets())
+    }
+
+    /// Add the delta source's tallies (if any) onto the base tallies
+    /// `counts`. The pass statistics are the delta scan's, with the
+    /// addition as merge time.
+    fn add_delta(
+        &mut self,
+        pass: usize,
+        mut counts: Vec<u64>,
+        delta: impl FnOnce(&mut S) -> Result<Counted, CountError>,
+    ) -> Result<Counted, CountError> {
+        let Some(source) = &mut self.delta else {
+            return Ok((counts, PassStats::default()));
+        };
+        let (add, mut stats) = delta(source)?;
+        if add.len() != counts.len() {
+            return Err(CountError::Failed(MinerError::Distributed(format!(
+                "pass {pass}: delta source returned {} counts for {} candidates",
+                add.len(),
+                counts.len()
+            ))));
+        }
+        let started = Instant::now();
+        for (x, y) in counts.iter_mut().zip(add) {
+            *x += y;
+        }
+        stats.merge_time += started.elapsed();
+        Ok((counts, stats))
     }
 }
 
@@ -497,32 +604,31 @@ impl<S: CountSource> CountSource for MergeSource<'_, S> {
         Ok(merged)
     }
 
-    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let mut counts = self.base_counts(pass, candidates)?;
-        if let Some(delta) = &mut self.delta {
-            let add = delta.count(pass, candidates)?;
-            if add.len() != counts.len() {
-                return Err(CountError::Failed(MinerError::Distributed(format!(
-                    "pass {pass}: delta source returned {} counts for {} candidates",
-                    add.len(),
-                    candidates.len()
-                ))));
-            }
-            for (x, y) in counts.iter_mut().zip(add) {
-                *x += y;
-            }
-        }
-        Ok(counts)
+    fn count_pairs(&mut self, grid: &PairGrid) -> Result<Counted, CountError> {
+        let counts = self.base_pair_counts(grid)?;
+        self.add_delta(2, counts, |d| d.count_pairs(grid))
+    }
+
+    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Counted, CountError> {
+        let counts = self.base_counts(pass, candidates)?;
+        self.add_delta(pass, counts, |d| d.count(pass, candidates))
+    }
+}
+
+/// The scan options a source built from `config` starts with.
+fn scan_options<'a>(config: &MinerConfig) -> ScanOptions<'a> {
+    ScanOptions {
+        kernel: config.kernel,
+        ..ScanOptions::new(config.effective_parallelism())
     }
 }
 
 /// The reference [`CountSource`]: counts an in-memory [`EncodedTable`]
-/// with the same scan kernels the serial miner uses.
+/// with the scan kernels of [`crate::supercand`].
 pub struct InMemorySource<'a> {
     table: &'a EncodedTable,
-    num_threads: usize,
-    kernel: crate::config::ScanKernel,
-    cancel: Option<&'a CancelToken>,
+    opts: ScanOptions<'a>,
+    force_counter: Option<CounterKind>,
 }
 
 impl<'a> InMemorySource<'a> {
@@ -530,24 +636,30 @@ impl<'a> InMemorySource<'a> {
     pub fn new(table: &'a EncodedTable, config: &MinerConfig) -> Self {
         InMemorySource {
             table,
-            num_threads: config.effective_parallelism(),
-            kernel: config.kernel,
-            cancel: None,
+            opts: scan_options(config),
+            force_counter: None,
         }
     }
 
     /// Attach a cancellation token checked inside every counting scan.
     pub fn with_cancel(mut self, cancel: &'a CancelToken) -> Self {
-        self.cancel = Some(cancel);
+        self.opts.cancel = Some(cancel);
         self
     }
 
-    fn opts(&self) -> ScanOptions<'a> {
-        ScanOptions {
-            cancel: self.cancel,
-            kernel: self.kernel,
-            ..ScanOptions::new(self.num_threads)
-        }
+    /// Run shard tasks on `pool` instead of the process-wide
+    /// [`WorkerPool::global`].
+    pub fn with_pool(mut self, pool: &'a WorkerPool) -> Self {
+        self.opts.pool = Some(pool);
+        self
+    }
+
+    /// Pin the quantitative counting backend of every pass ≥ 2 (for
+    /// ablations). Pass 2 then counts `C_2` as an explicit candidate list
+    /// through the pinned backend instead of the implicit pair arrays.
+    pub fn with_counter(mut self, kind: CounterKind) -> Self {
+        self.force_counter = Some(kind);
+        self
     }
 }
 
@@ -564,21 +676,52 @@ impl CountSource for InMemorySource<'_> {
         Ok(attribute_value_counts(self.table))
     }
 
-    fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let (counts, _) = count_candidates_opts(self.table, candidates, None, self.opts())?;
-        Ok(counts)
+    fn count_pairs(&mut self, grid: &PairGrid) -> Result<Counted, CountError> {
+        Ok(match self.force_counter {
+            Some(kind) => {
+                count_candidates_opts(self.table, &grid.itemsets(), Some(kind), self.opts)
+            }
+            None => count_pairs_opts(self.table, grid, PAIR_CELL_BUDGET, self.opts),
+        }?)
+    }
+
+    /// Without a pinned backend the whole grid is counted in one scan per
+    /// group of pair arrays, keeping only the frequent cells at readout.
+    fn frequent_pairs(&mut self, grid: &PairGrid, min_count: u64) -> Result<Frequent, CountError> {
+        if self.force_counter.is_some() {
+            return frequent_of_all_pairs(self, grid, min_count);
+        }
+        let mut level = Vec::new();
+        let stats = scan_pairs(
+            self.table,
+            grid,
+            PAIR_CELL_BUDGET,
+            self.opts,
+            |_, a, b, c| {
+                if c >= min_count {
+                    level.push((Itemset::new(vec![a, b]), c));
+                }
+            },
+        )?;
+        Ok((level, stats))
+    }
+
+    fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Counted, CountError> {
+        let force = self.force_counter;
+        Ok(count_candidates_opts(
+            self.table, candidates, force, self.opts,
+        )?)
     }
 }
 
 /// A [`CountSource`] over a spilled [`ChunkStore`]: every counting pass
 /// streams the chunks from disk one at a time and merges their counts by
-/// addition, so peak memory is one chunk regardless of table size.
+/// addition, so peak memory is one chunk (plus the count vector)
+/// regardless of table size.
 pub struct ChunkedSource<'a> {
     store: &'a ChunkStore,
     meta: EncodedTable,
-    num_threads: usize,
-    kernel: crate::config::ScanKernel,
-    cancel: Option<&'a CancelToken>,
+    opts: ScanOptions<'a>,
 }
 
 impl<'a> ChunkedSource<'a> {
@@ -587,24 +730,39 @@ impl<'a> ChunkedSource<'a> {
         ChunkedSource {
             store,
             meta: store.header(),
-            num_threads: config.effective_parallelism(),
-            kernel: config.kernel,
-            cancel: None,
+            opts: scan_options(config),
         }
     }
 
     /// Attach a cancellation token checked inside every counting scan.
     pub fn with_cancel(mut self, cancel: &'a CancelToken) -> Self {
-        self.cancel = Some(cancel);
+        self.opts.cancel = Some(cancel);
         self
     }
 
-    fn opts(&self) -> ScanOptions<'a> {
-        ScanOptions {
-            cancel: self.cancel,
-            kernel: self.kernel,
-            ..ScanOptions::new(self.num_threads)
+    /// Count every chunk with `count_chunk` and sum the results; the
+    /// chunks' scan statistics fold into one pass record.
+    fn sum_chunks(
+        &self,
+        len: usize,
+        count_chunk: impl Fn(&EncodedTable) -> Result<Counted, CountError>,
+    ) -> Result<Counted, CountError> {
+        let mut merged = vec![0u64; len];
+        let mut stats = PassStats::default();
+        for i in 0..self.store.num_chunks() {
+            let chunk = self.store.chunk(i)?;
+            let (counts, chunk_stats) = count_chunk(&chunk)?;
+            stats.absorb_scan(&chunk_stats);
+            stats.super_candidates = chunk_stats.super_candidates;
+            stats.array_backed = chunk_stats.array_backed;
+            stats.rtree_backed = chunk_stats.rtree_backed;
+            let started = Instant::now();
+            for (a, b) in merged.iter_mut().zip(counts) {
+                *a += b;
+            }
+            stats.merge_time += started.elapsed();
         }
+        Ok((merged, stats))
     }
 }
 
@@ -618,43 +776,33 @@ impl CountSource for ChunkedSource<'_> {
     }
 
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
-        let mut merged: Option<Vec<Vec<u64>>> = None;
+        let mut merged: Vec<Vec<u64>> = (self.meta.schema().iter())
+            .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
+            .collect();
         for i in 0..self.store.num_chunks() {
-            if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            if self.opts.cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(CountError::Cancelled);
             }
-            let chunk = self.store.chunk(i)?;
-            let counts = attribute_value_counts(&chunk);
-            match &mut merged {
-                None => merged = Some(counts),
-                Some(m) => {
-                    for (acc, add) in m.iter_mut().zip(&counts) {
-                        for (a, b) in acc.iter_mut().zip(add) {
-                            *a += b;
-                        }
-                    }
+            let counts = attribute_value_counts(&self.store.chunk(i)?);
+            for (acc, add) in merged.iter_mut().zip(counts) {
+                for (a, b) in acc.iter_mut().zip(add) {
+                    *a += b;
                 }
             }
         }
-        Ok(merged.unwrap_or_else(|| {
-            self.meta
-                .schema()
-                .iter()
-                .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
-                .collect()
-        }))
+        Ok(merged)
     }
 
-    fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let mut merged = vec![0u64; candidates.len()];
-        for i in 0..self.store.num_chunks() {
-            let chunk = self.store.chunk(i)?;
-            let (counts, _) = count_candidates_opts(&chunk, candidates, None, self.opts())?;
-            for (a, b) in merged.iter_mut().zip(counts) {
-                *a += b;
-            }
-        }
-        Ok(merged)
+    fn count_pairs(&mut self, grid: &PairGrid) -> Result<Counted, CountError> {
+        self.sum_chunks(grid.len(), |chunk| {
+            Ok(count_pairs_opts(chunk, grid, PAIR_CELL_BUDGET, self.opts)?)
+        })
+    }
+
+    fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Counted, CountError> {
+        self.sum_chunks(candidates.len(), |chunk| {
+            Ok(count_candidates_opts(chunk, candidates, None, self.opts)?)
+        })
     }
 }
 
@@ -725,45 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_source_matches_serial_miner() {
-        let enc = encoded();
-        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let mut source = InMemorySource::new(&enc, &config());
-        let sourced = mine_source(&mut source, &config(), None, None).unwrap();
-        assert_outputs_identical(&serial, &sourced);
-    }
-
-    #[test]
-    fn in_memory_source_matches_with_interest() {
-        let mut cfg = config();
-        cfg.interest = Some(crate::config::InterestConfig {
-            level: 1.1,
-            mode: InterestMode::SupportAndConfidence,
-            prune_candidates: true,
-        });
-        let enc = encoded();
-        let serial = Miner::new(cfg.clone()).mine_encoded(&enc).unwrap();
-        let mut source = InMemorySource::new(&enc, &cfg);
-        let sourced = mine_source(&mut source, &cfg, None, None).unwrap();
-        assert_outputs_identical(&serial, &sourced);
-        let sv: Vec<bool> = serial
-            .interest
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|v| v.interesting)
-            .collect();
-        let dv: Vec<bool> = sourced
-            .interest
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|v| v.interesting)
-            .collect();
-        assert_eq!(sv, dv);
-    }
-
-    #[test]
     fn chunked_source_matches_serial_for_every_chunk_size() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
@@ -786,36 +895,6 @@ mod tests {
             let sourced = mine_source(&mut source, &config(), None, None).unwrap();
             assert_outputs_identical(&serial, &sourced);
         }
-    }
-
-    #[test]
-    fn normalized_stats_agree_between_serial_and_source() {
-        let enc = encoded();
-        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let mut source = InMemorySource::new(&enc, &config());
-        let sourced = mine_source(&mut source, &config(), None, None).unwrap();
-        let a = serial.stats.normalized();
-        let b = sourced.stats.normalized();
-        assert_eq!(a.mine, b.mine);
-        assert_eq!(a.rules_total, b.rules_total);
-        assert_eq!(a.rules_interesting, b.rules_interesting);
-    }
-
-    #[test]
-    fn source_traces_mirror_serial_traces() {
-        let enc = encoded();
-        let serial_sink = std::sync::Arc::new(qar_trace::CollectingSink::new());
-        Miner::new(config())
-            .with_progress(serial_sink.clone())
-            .mine_encoded(&enc)
-            .unwrap();
-        let source_sink = qar_trace::CollectingSink::new();
-        let mut source = InMemorySource::new(&enc, &config());
-        mine_source(&mut source, &config(), Some(&source_sink), None).unwrap();
-        let names = |sink: &qar_trace::CollectingSink| -> Vec<String> {
-            sink.events().iter().map(|e| e.name().to_string()).collect()
-        };
-        assert_eq!(names(&serial_sink), names(&source_sink));
     }
 
     #[test]
@@ -843,12 +922,15 @@ mod tests {
             fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
                 self.0.value_counts()
             }
+            fn count_pairs(&mut self, _grid: &PairGrid) -> Result<Counted, CountError> {
+                Ok((vec![0], PassStats::default())) // wrong length
+            }
             fn count(
                 &mut self,
                 _pass: usize,
                 _candidates: &[Itemset],
-            ) -> Result<Vec<u64>, CountError> {
-                Ok(vec![0]) // wrong length
+            ) -> Result<Counted, CountError> {
+                Ok((vec![0], PassStats::default())) // wrong length
             }
         }
         let enc = encoded();
@@ -975,7 +1057,10 @@ mod tests {
             fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
                 panic!("empty delta must not be scanned")
             }
-            fn count(&mut self, _: usize, _: &[Itemset]) -> Result<Vec<u64>, CountError> {
+            fn count_pairs(&mut self, _: &PairGrid) -> Result<Counted, CountError> {
+                panic!("empty delta must not be scanned")
+            }
+            fn count(&mut self, _: usize, _: &[Itemset]) -> Result<Counted, CountError> {
                 panic!("empty delta must not be scanned")
             }
         }
@@ -1011,5 +1096,149 @@ mod tests {
             Err(other) => panic!("expected Cancelled, got {other:?}"),
             Ok(_) => panic!("expected Cancelled, got Ok"),
         }
+    }
+
+    /// A table big enough that every counting scan takes measurable
+    /// time: four attributes, several thousand rows.
+    fn wide_table(rows: std::ops::Range<usize>) -> Table {
+        let schema = Schema::builder()
+            .quantitative("a")
+            .quantitative("b")
+            .categorical("c")
+            .quantitative("d")
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        for r in rows {
+            t.push_row(&[
+                Value::Int((r % 5) as i64),
+                Value::Int(((r * 7) % 6) as i64),
+                Value::from(if r % 3 == 0 { "x" } else { "y" }),
+                Value::Int(((r / 2) % 4) as i64),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    fn wide_config() -> MinerConfig {
+        MinerConfig {
+            min_support: 0.05,
+            min_confidence: 0.5,
+            max_support: 0.6,
+            partitioning: PartitionSpec::None,
+            interest: None,
+            ..MinerConfig::default()
+        }
+    }
+
+    /// Every counting pass with candidates reports a non-zero scan time
+    /// and a named kernel in its `pass_finished` event, on every path.
+    #[test]
+    fn pass_statistics_are_reported_on_every_path() {
+        let cfg = wide_config();
+        let table = wide_table(0..6000);
+        let (encoders, _) = crate::pipeline::build_encoders(&table, &cfg).unwrap();
+        let enc = EncodedTable::encode(&table, encoders.clone()).unwrap();
+        let check = |path: &str, source: &mut dyn CountSource| {
+            let sink = qar_trace::CollectingSink::new();
+            mine_source(source, &cfg, Some(&sink), None).unwrap();
+            let mut counted = 0;
+            for event in sink.events() {
+                if let TraceEvent::PassFinished {
+                    pass,
+                    candidates: 1..,
+                    scan_us,
+                    kernel,
+                    ..
+                } = event
+                {
+                    counted += 1;
+                    assert!(scan_us > 0, "{path}: pass {pass} reports scan_us 0");
+                    assert!(
+                        ["direct", "memoized", "bitmask", "mixed"].contains(&kernel.as_str()),
+                        "{path}: pass {pass} reports kernel `{kernel}`"
+                    );
+                }
+            }
+            assert!(counted >= 2, "{path}: the workload must reach pass 3");
+        };
+
+        check("in-memory", &mut InMemorySource::new(&enc, &cfg));
+        let mut inner = InMemorySource::new(&enc, &cfg);
+        let mut capture = CaptureSource::new(&mut inner);
+        check("captured", &mut capture);
+        let captured = capture.into_captured();
+
+        let dir = qar_table::chunk::default_spill_dir("src_test_pass_stats");
+        let mut store = ChunkStore::create(&dir, enc.schema().clone(), encoders.clone()).unwrap();
+        store.append_chunk(&wide_table(0..2500)).unwrap();
+        store.append_chunk(&wide_table(2500..6000)).unwrap();
+        check("chunked", &mut ChunkedSource::new(&store, &cfg));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Merging the table's own counts with a delta of the same rows
+        // doubles every tally, which keeps every candidate set.
+        let rows = enc.num_rows();
+        let base = SupportCounts::assemble(
+            enc.schema(),
+            &encoders,
+            rows as u64,
+            &cfg,
+            Vec::new(),
+            captured,
+        );
+        let meta = EncodedTable::header_only(enc.schema().clone(), encoders, 2 * rows);
+        let delta = Some(InMemorySource::new(&enc, &cfg));
+        check("merge", &mut MergeSource::new(&base, delta, meta));
+    }
+
+    /// The captured pass-2 record is exactly `generate_candidates(L_1)`
+    /// zipped with the naive counts — the order and tallies an explicit
+    /// pass 2 would have persisted — whether a pair is counted in a
+    /// dense array or on the R*-tree fallback.
+    #[test]
+    fn captured_pass_two_is_pinned_to_candidate_order() {
+        let cfg = wide_config();
+        let table = wide_table(0..400);
+        let (encoders, _) = crate::pipeline::build_encoders(&table, &cfg).unwrap();
+        let enc = EncodedTable::encode(&table, encoders).unwrap();
+        let mut source = InMemorySource::new(&enc, &cfg);
+        let (out, captured) = mine_source_captured(&mut source, &cfg, None, None).unwrap();
+        let (pass, entries) = &captured.passes[0];
+        assert_eq!(*pass, 2);
+        let candidates = generate_candidates(&out.frequent.levels[0]);
+        let naive = crate::supercand::count_candidates_naive(&enc, &candidates);
+        let expected: Vec<(Itemset, u64)> = candidates.into_iter().zip(naive.clone()).collect();
+        assert_eq!(entries, &expected);
+
+        // Cardinalities 5, 6, 2, 4: a 12-cell budget keeps the a×c, c×d
+        // and b×c arrays and sends every other pair to the R*-tree.
+        let grid = PairGrid::from_level1(&out.frequent.levels[0]);
+        let (counts, stats) = count_pairs_opts(&enc, &grid, 12, ScanOptions::new(2)).unwrap();
+        assert!(
+            stats.array_backed > 0 && stats.rtree_backed > 0,
+            "{stats:?}"
+        );
+        assert_eq!(counts, naive);
+
+        // A merge with a delta of the same rows reads the base tallies
+        // off the captured record by position and doubles them.
+        let rows = enc.num_rows();
+        let base = SupportCounts::assemble(
+            enc.schema(),
+            enc.encoders(),
+            rows as u64,
+            &cfg,
+            Vec::new(),
+            captured,
+        );
+        let meta =
+            EncodedTable::header_only(enc.schema().clone(), enc.encoders().to_vec(), 2 * rows);
+        let delta = InMemorySource::new(&enc, &cfg);
+        let mut merge = MergeSource::new(&base, Some(delta), meta);
+        let (merged, _) = merge.count_pairs(&grid).unwrap();
+        assert_eq!(merged, naive.iter().map(|c| 2 * c).collect::<Vec<_>>());
     }
 }

@@ -78,7 +78,7 @@
 
 use crate::config::ScanKernel;
 use crate::pool::WorkerPool;
-use qar_itemset::{CounterKind, HashTree, Itemset, RectCounter, VisitScratch};
+use qar_itemset::{CounterKind, HashTree, Item, Itemset, RectCounter, VisitScratch};
 use qar_table::{AttributeId, AttributeKind, EncodedTable};
 use qar_trace::CancelToken;
 use std::collections::{BTreeMap, HashMap};
@@ -226,7 +226,7 @@ impl PassStats {
     /// Fold another pass's scan bookkeeping into this one (used when one
     /// logical pass issues several physical scans, e.g. the chunked
     /// implicit pair pass).
-    fn absorb_scan(&mut self, other: &PassStats) {
+    pub fn absorb_scan(&mut self, other: &PassStats) {
         self.scan_time += other.scan_time;
         self.merge_time += other.merge_time;
         self.hash_tree_nodes += other.hash_tree_nodes;
@@ -874,65 +874,15 @@ fn scan_shard(
     }
 }
 
-/// Count the support of every candidate in one (serial) pass over `table`.
-///
-/// Equivalent to [`count_candidates_sharded`] with one thread; kept as the
-/// reference entry point for tests and ablations.
-pub fn count_candidates(
-    table: &EncodedTable,
-    candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
-) -> (Vec<u64>, PassStats) {
-    count_candidates_sharded(table, candidates, force_kind, 1)
-}
-
-/// Count the support of every candidate in one pass over `table`, scanning
-/// up to `num_threads` contiguous row shards in parallel.
+/// Count the support of every candidate in one pass over `table`,
+/// scanning up to [`ScanOptions::num_threads`] contiguous row shards in
+/// parallel; see [`ScanOptions`] for the other knobs.
 ///
 /// `force_kind` pins the quantitative counting backend (for the ablation
-/// bench); `None` applies the paper's memory heuristic per super-candidate.
-/// Output is bit-identical for every `num_threads` (see module docs);
-/// `num_threads <= 1` runs the scan inline without spawning.
-pub fn count_candidates_sharded(
-    table: &EncodedTable,
-    candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
-    num_threads: usize,
-) -> (Vec<u64>, PassStats) {
-    match count_candidates_opts(table, candidates, force_kind, ScanOptions::new(num_threads)) {
-        Ok(result) => result,
-        Err(ScanCancelled) => unreachable!("no cancel token was supplied"),
-    }
-}
-
-/// [`count_candidates_sharded`] with a cooperative [`CancelToken`]: every
-/// shard checks the token every `CANCEL_CHECK_INTERVAL` of its own
-/// records and at the scan start, so a fired token stops the pass within
-/// roughly one check interval per shard. A cancelled pass returns
-/// [`ScanCancelled`] — its partial tallies are discarded, never
-/// observable.
-pub fn count_candidates_cancellable(
-    table: &EncodedTable,
-    candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
-    num_threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<u64>, PassStats), ScanCancelled> {
-    count_candidates_opts(
-        table,
-        candidates,
-        force_kind,
-        ScanOptions {
-            cancel,
-            ..ScanOptions::new(num_threads)
-        },
-    )
-}
-
-/// The fully parameterized counting scan behind every `count_candidates*`
-/// entry point; see [`ScanOptions`] for the knobs. Counts are
-/// bit-identical across every option combination — threads, pool, and
-/// memoization are performance choices, never semantics.
+/// bench); `None` applies the paper's memory heuristic per
+/// super-candidate. Counts are bit-identical across every option
+/// combination — threads, pool, and memoization are performance choices,
+/// never semantics.
 pub fn count_candidates_opts(
     table: &EncodedTable,
     candidates: &[Itemset],
@@ -1067,100 +1017,180 @@ pub fn count_candidates_opts(
     Ok((counts, stats))
 }
 
+/// Cell budget of the implicit pass-2 arrays (64 MB of `u64` cells):
+/// attribute pairs are counted in groups whose dense arrays fit it, and a
+/// single pair whose full code domain exceeds it falls back to the
+/// R*-tree.
+pub const PAIR_CELL_BUDGET: usize = 8 << 20;
+
+/// The pass-2 counting request: each attribute's frequent items,
+/// attributes ascending and items sorted.
+///
+/// Its cells are `C_2` — every item pair over two distinct attributes —
+/// in *canonical order*: attribute `a` → each of its items → each later
+/// attribute `b` → each of its items. That is the order
+/// [`crate::candidate::generate_candidates`] produces from the sorted
+/// `L_1` (and the sorted order of the pair itemsets), so a count vector
+/// in grid order lines up with an explicit `C_2` list entry for entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairGrid {
+    attrs: Vec<(u32, Vec<Item>)>,
+}
+
+impl PairGrid {
+    /// A grid over per-attribute item lists. Rejects anything that is not
+    /// canonical: attributes strictly ascending, item lists non-empty and
+    /// strictly ascending, every item on its list's attribute with
+    /// `lo <= hi`.
+    pub fn new(attrs: Vec<(u32, Vec<Item>)>) -> Result<PairGrid, String> {
+        let canonical = attrs.windows(2).all(|w| w[0].0 < w[1].0)
+            && attrs.iter().all(|(attr, items)| {
+                !items.is_empty()
+                    && items.iter().all(|i| i.attr == *attr && i.lo <= i.hi)
+                    && items.windows(2).all(|w| w[0] < w[1])
+            });
+        match canonical {
+            true => Ok(PairGrid { attrs }),
+            false => Err("pair grid item lists are not canonical".to_string()),
+        }
+    }
+
+    /// Group a sorted `L_1` (as [`crate::QuantFrequentItemsets`] stores
+    /// it) by attribute.
+    pub fn from_level1(level1: &[(Itemset, u64)]) -> PairGrid {
+        debug_assert!(level1.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut attrs: Vec<(u32, Vec<Item>)> = Vec::new();
+        for (itemset, _) in level1 {
+            let item = itemset.items()[0];
+            match attrs.last_mut() {
+                Some((attr, items)) if *attr == item.attr => items.push(item),
+                _ => attrs.push((item.attr, vec![item])),
+            }
+        }
+        PairGrid { attrs }
+    }
+
+    /// The per-attribute item lists, attributes ascending.
+    pub fn attrs(&self) -> &[(u32, Vec<Item>)] {
+        &self.attrs
+    }
+
+    /// Number of cells, `|C_2|`.
+    pub fn len(&self) -> usize {
+        self.rows_of(self.attrs.len()).0
+    }
+
+    /// True when the grid has no cell.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every cell in canonical order.
+    pub fn cells(&self) -> impl Iterator<Item = (Item, Item)> + '_ {
+        self.attrs
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, (_, items_a))| {
+                items_a.iter().flat_map(move |&a| {
+                    self.attrs[i + 1..]
+                        .iter()
+                        .flat_map(move |(_, items_b)| items_b.iter().map(move |&b| (a, b)))
+                })
+            })
+    }
+
+    /// The cells as pair itemsets — exactly `generate_candidates(L_1)`.
+    pub fn itemsets(&self) -> Vec<Itemset> {
+        self.cells()
+            .map(|(a, b)| Itemset::new(vec![a, b]))
+            .collect()
+    }
+
+    /// Items of the attributes at `range` (indices into `attrs`).
+    fn items_in(&self, range: Range<usize>) -> usize {
+        self.attrs[range].iter().map(|(_, items)| items.len()).sum()
+    }
+
+    /// The first cell of attribute `i`'s items and the number of cells per
+    /// item. Attribute pair `(i, j)`'s cell `(x, y)` sits at
+    /// `first + x * stride + items_in(i + 1..j) + y`.
+    fn rows_of(&self, i: usize) -> (usize, usize) {
+        let n = self.attrs.len();
+        let first = (0..i)
+            .map(|h| self.attrs[h].1.len() * self.items_in(h + 1..n))
+            .sum();
+        (first, self.items_in((i + 1).min(n)..n))
+    }
+}
+
 /// Implicit second pass: `C_2` is the cross product of frequent items over
 /// distinct attribute pairs, which can run into the millions at low
 /// partial-completeness levels (the paper's "ExecTime" blow-up). Rather
 /// than materializing every pair, each attribute pair gets one dense 2-D
 /// count array (its super-candidate — all `C_2` members over an attribute
 /// pair share it by definition); after one pass and prefix summation,
-/// every item pair's support is a constant-time rectangle sum and only the
-/// frequent pairs are materialized as itemsets.
+/// every item pair's support is a constant-time rectangle sum.
 ///
-/// Pairs whose full code domain exceeds `cell_budget` cells fall back to
-/// explicit enumeration with the R*-tree backend.
+/// Returns one raw count per cell of `grid`, in its canonical order, so
+/// counts over disjoint row partitions merge by element-wise addition.
 ///
-/// Like [`count_candidates_sharded`], the record scans split into up to
-/// `num_threads` contiguous row shards whose 2-D arrays are summed
-/// cell-wise before the prefix-sum readout; output is independent of the
-/// thread count.
-pub fn count_pairs_implicit(
-    table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(qar_itemset::Item, u64)>>,
-    min_count: u64,
-    cell_budget: usize,
-    num_threads: usize,
-) -> (Vec<(Itemset, u64)>, PassStats) {
-    match count_pairs_opts(
-        table,
-        items_by_attr,
-        min_count,
-        cell_budget,
-        ScanOptions::new(num_threads),
-    ) {
-        Ok(result) => result,
-        Err(ScanCancelled) => unreachable!("no cancel token was supplied"),
-    }
-}
-
-/// [`count_pairs_implicit`] with a cooperative [`CancelToken`], checked
-/// every `CANCEL_CHECK_INTERVAL` records inside each shard's scan and
-/// between chunks/fallback groups.
-pub fn count_pairs_cancellable(
-    table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(qar_itemset::Item, u64)>>,
-    min_count: u64,
-    cell_budget: usize,
-    num_threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<(Itemset, u64)>, PassStats), ScanCancelled> {
-    count_pairs_opts(
-        table,
-        items_by_attr,
-        min_count,
-        cell_budget,
-        ScanOptions {
-            cancel,
-            ..ScanOptions::new(num_threads)
-        },
-    )
-}
-
-/// The fully parameterized implicit pair pass behind the `count_pairs*`
-/// entry points. The dense 2-D array scan has no hash-tree walk, so
-/// [`ScanOptions::kernel`] only reaches the explicit R*-tree fallback
-/// groups (the array scan itself reports as the `"direct"` kernel);
-/// shard tasks run on the pool like the generic scan.
+/// Attribute pairs are scanned in groups whose arrays fit `cell_budget`
+/// cells; a pair whose full code domain alone exceeds it falls back to
+/// explicit enumeration with the R*-tree backend. The dense 2-D scan has
+/// no hash-tree walk, so [`ScanOptions::kernel`] only reaches the
+/// fallback pairs (the array scan itself reports as the `"direct"`
+/// kernel).
+///
+/// Like [`count_candidates_opts`], the record scans split into up to
+/// `num_threads` contiguous row shards on the pool whose 2-D arrays are
+/// summed cell-wise before the prefix-sum readout; output is independent
+/// of the thread count.
 pub fn count_pairs_opts(
     table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(qar_itemset::Item, u64)>>,
-    min_count: u64,
+    grid: &PairGrid,
     cell_budget: usize,
     opts: ScanOptions<'_>,
-) -> Result<(Vec<(Itemset, u64)>, PassStats), ScanCancelled> {
+) -> Result<(Vec<u64>, PassStats), ScanCancelled> {
+    let mut counts = vec![0u64; grid.len()];
+    let stats = scan_pairs(table, grid, cell_budget, opts, |cell, _, _, count| {
+        counts[cell] = count;
+    })?;
+    Ok((counts, stats))
+}
+
+/// The scan behind [`count_pairs_opts`], handing every cell to `read` as
+/// (position in `grid`, its two items, raw count) instead of storing it,
+/// grouped by attribute pair rather than in canonical order. A caller that
+/// keeps only some cells never holds a count per cell.
+pub(crate) fn scan_pairs(
+    table: &EncodedTable,
+    grid: &PairGrid,
+    cell_budget: usize,
+    opts: ScanOptions<'_>,
+    mut read: impl FnMut(usize, Item, Item, u64),
+) -> Result<PassStats, ScanCancelled> {
     use qar_itemset::MultiDimCounter;
     let num_threads = opts.num_threads;
     let cancel = opts.cancel;
-
-    let attrs: Vec<u32> = items_by_attr
-        .iter()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(&a, _)| a)
-        .collect();
+    let attrs = grid.attrs();
+    // Where pair `(i, j)`'s cell `(x, y)` lands: `first + x * stride + y`.
+    let layout = |i: usize, j: usize| {
+        let (first, stride) = grid.rows_of(i);
+        (first + grid.items_in(i + 1..j), stride)
+    };
     let mut stats = PassStats::default();
-    let mut frequent: Vec<(Itemset, u64)> = Vec::new();
+    let cardinality = |i: usize| table.cardinality(AttributeId(attrs[i].0 as usize));
 
     // Split attribute pairs into array-countable and fallback sets.
-    let mut array_pairs: Vec<(u32, u32, usize)> = Vec::new();
-    let mut fallback_pairs: Vec<(u32, u32)> = Vec::new();
+    let mut array_pairs: Vec<(usize, usize, usize)> = Vec::new();
+    let mut fallback_pairs: Vec<(usize, usize)> = Vec::new();
     for i in 0..attrs.len() {
         for j in (i + 1)..attrs.len() {
-            let (a, b) = (attrs[i], attrs[j]);
-            let cells = table.cardinality(AttributeId(a as usize)) as usize
-                * table.cardinality(AttributeId(b as usize)) as usize;
+            let cells = cardinality(i) as usize * cardinality(j) as usize;
             if cells <= cell_budget {
-                array_pairs.push((a, b, cells));
+                array_pairs.push((i, j, cells));
             } else {
-                fallback_pairs.push((a, b));
+                fallback_pairs.push((i, j));
             }
         }
     }
@@ -1190,14 +1220,8 @@ pub fn count_pairs_opts(
         let make_counters = || -> Vec<MultiDimCounter> {
             chunk
                 .iter()
-                .map(|&(a, b, _)| {
-                    MultiDimCounter::new(
-                        &[
-                            table.cardinality(AttributeId(a as usize)),
-                            table.cardinality(AttributeId(b as usize)),
-                        ],
-                        usize::MAX,
-                    )
+                .map(|&(i, j, _)| {
+                    MultiDimCounter::new(&[cardinality(i), cardinality(j)], usize::MAX)
                 })
                 .collect()
         };
@@ -1207,10 +1231,10 @@ pub fn count_pairs_opts(
         let scan_rows = |counters: &mut [MultiDimCounter], rows: Range<usize>| -> bool {
             let cols: Vec<(&[u32], &[u32])> = chunk
                 .iter()
-                .map(|&(a, b, _)| {
+                .map(|&(i, j, _)| {
                     (
-                        table.codes(AttributeId(a as usize)),
-                        table.codes(AttributeId(b as usize)),
+                        table.codes(AttributeId(attrs[i].0 as usize)),
+                        table.codes(AttributeId(attrs[j].0 as usize)),
                     )
                 })
                 .collect();
@@ -1280,14 +1304,13 @@ pub fn count_pairs_opts(
         stats.scan_time += scan_started.elapsed();
         add_shard_times(&mut stats.shard_scan_times, &shard_times);
 
-        for (ci, &(a, b, _)) in chunk.iter().enumerate() {
-            counters[ci].build_prefix_sums();
-            for &(ia, _) in &items_by_attr[&a] {
-                for &(ib, _) in &items_by_attr[&b] {
-                    let count = counters[ci].rect_sum(&[ia.lo, ib.lo], &[ia.hi, ib.hi]);
-                    if count >= min_count {
-                        frequent.push((Itemset::new(vec![ia, ib]), count));
-                    }
+        for (counter, &(i, j, _)) in counters.iter_mut().zip(chunk) {
+            counter.build_prefix_sums();
+            let (first, stride) = layout(i, j);
+            for (x, &ia) in attrs[i].1.iter().enumerate() {
+                for (y, &ib) in attrs[j].1.iter().enumerate() {
+                    let count = counter.rect_sum(&[ia.lo, ib.lo], &[ia.hi, ib.hi]);
+                    read(first + x * stride + y, ia, ib, count);
                 }
             }
         }
@@ -1296,26 +1319,22 @@ pub fn count_pairs_opts(
 
     // Fallback pairs: explicit cross product through the generic counter
     // (its scan/merge times are folded into this pass's stats).
-    for (a, b) in fallback_pairs {
-        let candidates: Vec<Itemset> = items_by_attr[&a]
+    for (i, j) in fallback_pairs {
+        let (items_a, items_b) = (&attrs[i].1, &attrs[j].1);
+        let candidates: Vec<Itemset> = items_a
             .iter()
-            .flat_map(|&(ia, _)| {
-                items_by_attr[&b]
-                    .iter()
-                    .map(move |&(ib, _)| Itemset::new(vec![ia, ib]))
-            })
+            .flat_map(|&ia| items_b.iter().map(move |&ib| Itemset::new(vec![ia, ib])))
             .collect();
-        let (counts, sub) =
+        let (pair_counts, sub) =
             count_candidates_opts(table, &candidates, Some(CounterKind::RTree), opts)?;
         stats.absorb_scan(&sub);
-        frequent.extend(
-            candidates
-                .into_iter()
-                .zip(counts)
-                .filter(|(_, c)| *c >= min_count),
-        );
+        let (first, stride) = layout(i, j);
+        for (k, count) in pair_counts.into_iter().enumerate() {
+            let (x, y) = (k / items_b.len(), k % items_b.len());
+            read(first + x * stride + y, items_a[x], items_b[y], count);
+        }
     }
-    Ok((frequent, stats))
+    Ok(stats)
 }
 
 /// Reference counter: test every candidate against every record directly.
@@ -1342,6 +1361,16 @@ mod tests {
     use super::*;
     use qar_itemset::Item;
     use qar_table::{Schema, Table, Value};
+
+    /// An uncancellable scan over `threads` shards.
+    fn count_sharded(
+        table: &EncodedTable,
+        candidates: &[Itemset],
+        force_kind: Option<CounterKind>,
+        threads: usize,
+    ) -> (Vec<u64>, PassStats) {
+        count_candidates_opts(table, candidates, force_kind, ScanOptions::new(threads)).unwrap()
+    }
 
     fn people() -> EncodedTable {
         let schema = Schema::builder()
@@ -1396,7 +1425,7 @@ mod tests {
         let cands = candidates();
         let naive = count_candidates_naive(&enc, &cands);
         for force in [None, Some(CounterKind::Array), Some(CounterKind::RTree)] {
-            let (fast, stats) = count_candidates(&enc, &cands, force);
+            let (fast, stats) = count_sharded(&enc, &cands, force, 1);
             assert_eq!(fast, naive, "force={force:?}");
             assert!(stats.super_candidates > 0);
         }
@@ -1412,7 +1441,7 @@ mod tests {
         // -> same super-candidate.
         let enc = people();
         let cands = candidates();
-        let (_, stats) = count_candidates(&enc, &cands, None);
+        let (_, stats) = count_sharded(&enc, &cands, None, 1);
         // Groups: {age,cars} (cands 1,3), {married=Yes}+{age} (cand 0),
         // {married=Yes}+{cars} (cand 2), {married=No}+{age} (cand 4).
         assert_eq!(stats.super_candidates, 4);
@@ -1439,7 +1468,7 @@ mod tests {
                 .into_iter()
                 .collect(), // y,u
         ];
-        let (counts, stats) = count_candidates(&enc, &cands, None);
+        let (counts, stats) = count_sharded(&enc, &cands, None, 1);
         assert_eq!(counts, vec![2, 1]);
         assert_eq!(stats.array_backed + stats.rtree_backed, 0);
     }
@@ -1467,7 +1496,7 @@ mod tests {
                 .into_iter()
                 .collect(),
         ];
-        let (counts, stats) = count_candidates(&enc, &cands, None);
+        let (counts, stats) = count_sharded(&enc, &cands, None, 1);
         assert_eq!(counts, vec![2, 2, 1]);
         assert_eq!(stats.super_candidates, 1, "one quant attr set");
     }
@@ -1475,7 +1504,7 @@ mod tests {
     #[test]
     fn empty_candidate_list() {
         let enc = people();
-        let (counts, stats) = count_candidates(&enc, &[], None);
+        let (counts, stats) = count_sharded(&enc, &[], None, 1);
         assert!(counts.is_empty());
         assert_eq!(stats.super_candidates, 0);
     }
@@ -1515,9 +1544,9 @@ mod tests {
         let enc = people();
         let cands = candidates();
         for force in [None, Some(CounterKind::Array), Some(CounterKind::RTree)] {
-            let (serial, _) = count_candidates_sharded(&enc, &cands, force, 1);
+            let (serial, _) = count_sharded(&enc, &cands, force, 1);
             for threads in [2, 3, 4, 5, 8, 64] {
-                let (sharded, stats) = count_candidates_sharded(&enc, &cands, force, threads);
+                let (sharded, stats) = count_sharded(&enc, &cands, force, threads);
                 assert_eq!(sharded, serial, "force={force:?} threads={threads}");
                 // 5 rows: at most 5 shards regardless of the request.
                 assert!(stats.num_shards() <= 5);
@@ -1531,8 +1560,8 @@ mod tests {
         // rows == threads: every shard scans exactly one row.
         let enc = people();
         let cands = candidates();
-        let (serial, _) = count_candidates_sharded(&enc, &cands, None, 1);
-        let (sharded, stats) = count_candidates_sharded(&enc, &cands, None, 5);
+        let (serial, _) = count_sharded(&enc, &cands, None, 1);
+        let (sharded, stats) = count_sharded(&enc, &cands, None, 5);
         assert_eq!(sharded, serial);
         assert_eq!(stats.num_shards(), 5);
     }
@@ -1545,7 +1574,7 @@ mod tests {
         t.push_row(&[Value::Int(2)]).unwrap();
         let enc = EncodedTable::encode_full_resolution(&t).unwrap();
         let cands: Vec<Itemset> = vec![vec![Item::range(0, 0, 1)].into_iter().collect()];
-        let (counts, stats) = count_candidates_sharded(&enc, &cands, None, 16);
+        let (counts, stats) = count_sharded(&enc, &cands, None, 16);
         assert_eq!(counts, vec![2]);
         assert_eq!(stats.num_shards(), 2, "clamped to one row per shard");
     }
@@ -1564,7 +1593,7 @@ mod tests {
         let enc = EncodedTable::encode_full_resolution(&t).unwrap();
         let cands: Vec<Itemset> = vec![vec![Item::value(1, 0)].into_iter().collect()];
         for threads in [1, 4] {
-            let (counts, stats) = count_candidates_sharded(&enc, &cands, None, threads);
+            let (counts, stats) = count_sharded(&enc, &cands, None, threads);
             assert_eq!(counts, vec![0], "threads={threads}");
             assert_eq!(stats.num_shards(), 1, "empty table collapses to one shard");
         }
@@ -1899,23 +1928,38 @@ mod tests {
     }
 
     #[test]
-    fn implicit_pairs_equal_serial_for_all_thread_counts() {
+    fn implicit_pairs_equal_naive_for_all_thread_counts() {
         let enc = people();
-        // Frequent items per attribute, as `mine_encoded` would pass them.
-        let mut items: BTreeMap<u32, Vec<(Item, u64)>> = BTreeMap::new();
-        items.insert(
-            0,
-            vec![(Item::range(0, 0, 2), 3), (Item::range(0, 3, 4), 2)],
-        );
-        items.insert(1, vec![(Item::value(1, 0), 2), (Item::value(1, 1), 3)]);
-        items.insert(2, vec![(Item::range(2, 0, 1), 3), (Item::value(2, 2), 2)]);
+        // Frequent items per attribute, as the level-wise driver sends them.
+        let grid = PairGrid::new(vec![
+            (0, vec![Item::range(0, 0, 2), Item::range(0, 3, 4)]),
+            (1, vec![Item::value(1, 0), Item::value(1, 1)]),
+            (2, vec![Item::range(2, 0, 1), Item::value(2, 2)]),
+        ])
+        .unwrap();
+        assert_eq!(grid.len(), 12);
+        let naive = count_candidates_naive(&enc, &grid.itemsets());
         for budget in [usize::MAX, 1] {
             // budget 1 forces the R*-tree fallback for every pair.
-            let (serial, _) = count_pairs_implicit(&enc, &items, 2, budget, 1);
-            for threads in [2, 4, 9] {
-                let (sharded, _) = count_pairs_implicit(&enc, &items, 2, budget, threads);
-                assert_eq!(sharded, serial, "budget={budget} threads={threads}");
+            for threads in [1, 2, 4, 9] {
+                let (counts, stats) =
+                    count_pairs_opts(&enc, &grid, budget, ScanOptions::new(threads)).unwrap();
+                assert_eq!(counts, naive, "budget={budget} threads={threads}");
+                assert_eq!(stats.super_candidates, 3);
             }
         }
+    }
+
+    #[test]
+    fn pair_grid_rejects_non_canonical_lists() {
+        let a = Item::value(0, 0);
+        let b = Item::value(1, 0);
+        assert!(PairGrid::new(vec![(1, vec![b]), (0, vec![a])]).is_err());
+        assert!(PairGrid::new(vec![(0, vec![]), (1, vec![b])]).is_err());
+        assert!(PairGrid::new(vec![(0, vec![b])]).is_err());
+        assert!(PairGrid::new(vec![(0, vec![a, a])]).is_err());
+        let grid = PairGrid::new(vec![(0, vec![a]), (1, vec![b])]).unwrap();
+        assert_eq!(grid.cells().collect::<Vec<_>>(), vec![(a, b)]);
+        assert!(PairGrid::new(vec![(0, vec![a])]).unwrap().is_empty());
     }
 }

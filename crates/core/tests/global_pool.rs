@@ -3,7 +3,7 @@
 //! and across `Miner` instances, and it never respawns. These paths were
 //! previously only exercised indirectly through full mining runs.
 
-use qar_core::supercand::{count_candidates, count_candidates_sharded};
+use qar_core::supercand::{count_candidates_opts, ScanOptions};
 use qar_core::{Miner, MinerConfig, PartitionSpec, WorkerPool};
 use qar_itemset::{Item, Itemset};
 use qar_table::{EncodedTable, Schema, Table, Value};
@@ -71,13 +71,15 @@ fn global_pool_survives_unchanged_across_miners_and_free_scans() {
     let table = people(400);
     let encoded = EncodedTable::encode_full_resolution(&table).unwrap();
     let cands = candidates();
-    let (serial_counts, serial_stats) = count_candidates(&encoded, &cands, None);
+    let (serial_counts, serial_stats) =
+        count_candidates_opts(&encoded, &cands, None, ScanOptions::new(1)).unwrap();
     assert!(!serial_stats.pooled, "one thread scans inline");
 
     // Two independent Miner instances, each with its own pool.
     let first = Miner::new(config(2)).mine(&table).expect("first miner");
     // A global-pool scan between the two miners.
-    let (mid_counts, mid_stats) = count_candidates_sharded(&encoded, &cands, None, 4);
+    let (mid_counts, mid_stats) =
+        count_candidates_opts(&encoded, &cands, None, ScanOptions::new(4)).unwrap();
     assert!(mid_stats.pooled, "four shards go through the pool");
     assert_eq!(mid_counts, serial_counts);
     let second = Miner::new(config(3)).mine(&table).expect("second miner");
@@ -90,7 +92,8 @@ fn global_pool_survives_unchanged_across_miners_and_free_scans() {
 
     // And once more after both miners (and their pools) are gone.
     drop((first, second));
-    let (after_counts, _) = count_candidates_sharded(&encoded, &cands, None, 4);
+    let (after_counts, _) =
+        count_candidates_opts(&encoded, &cands, None, ScanOptions::new(4)).unwrap();
     assert_eq!(after_counts, serial_counts);
 
     let global_after = WorkerPool::global();

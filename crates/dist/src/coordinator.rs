@@ -17,9 +17,12 @@
 //! the merged counts, and therefore the mined rules, are unchanged.
 
 use qar_core::pipeline::MiningOutput;
-use qar_core::source::{mine_source_captured, CountError, CountSource};
-use qar_core::supercand::{count_candidates_opts, ScanOptions};
-use qar_core::{CapturedCounts, MinerConfig, MinerError, ScanKernel};
+use qar_core::source::{mine_source, CountError, CountSource, Counted};
+use qar_core::supercand::{
+    count_candidates_opts, count_pairs_opts, PassStats, ScanCancelled, ScanOptions,
+    PAIR_CELL_BUDGET,
+};
+use qar_core::{MinerConfig, MinerError, PairGrid, ScanKernel};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
 use qar_store::protocol::MAX_PAYLOAD;
@@ -33,9 +36,10 @@ use std::time::{Duration, Instant};
 
 use crate::worker::{run_worker, WorkerOptions};
 
-/// Row blocks and candidate batches are kept under this wire size —
-/// comfortably below the protocol's 16 MiB frame ceiling, and small
-/// enough that per-batch count responses never strain socket buffers.
+/// Row blocks, candidate batches and pair-count windows are kept under
+/// this wire size — comfortably below the protocol's 16 MiB frame
+/// ceiling, and small enough that per-batch count responses never strain
+/// socket buffers.
 const BATCH_BYTES: usize = 4 << 20;
 
 /// How workers are brought up.
@@ -373,11 +377,12 @@ pub struct DistSource<'a> {
     /// Per-worker contiguous row ranges `[start, end)`, cluster order.
     ranges: Vec<(usize, usize)>,
     sink: Option<&'a dyn ProgressSink>,
-    cancel: Option<&'a CancelToken>,
     fail_fast: bool,
-    local_threads: usize,
-    local_kernel: ScanKernel,
+    /// Options of local recounts; its token is the run's.
+    local: ScanOptions<'a>,
     block_rows: usize,
+    /// Cells per pass-2 window: one `u64` per cell in the response.
+    pair_window: usize,
 }
 
 impl<'a> DistSource<'a> {
@@ -414,11 +419,14 @@ impl<'a> DistSource<'a> {
             meta,
             ranges,
             sink,
-            cancel,
             fail_fast,
-            local_threads: config.effective_parallelism(),
-            local_kernel: config.kernel,
+            local: ScanOptions {
+                cancel,
+                kernel: config.kernel,
+                ..ScanOptions::new(config.effective_parallelism())
+            },
             block_rows: (BATCH_BYTES / (4 * ncols.max(1))).max(1),
+            pair_window: BATCH_BYTES / 8,
         };
         source.load()?;
         Ok(source)
@@ -527,15 +535,7 @@ impl<'a> DistSource<'a> {
     }
 
     fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-
-    fn local_scan_options(&self) -> ScanOptions<'a> {
-        ScanOptions {
-            cancel: self.cancel,
-            kernel: self.local_kernel,
-            ..ScanOptions::new(self.local_threads)
-        }
+        self.local.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
     /// Locally histogram rows `[start, end)` into `acc[attr][code]`.
@@ -556,27 +556,107 @@ impl<'a> DistSource<'a> {
             })
     }
 
-    /// Locally count `candidates` over rows `[start, end)` into `acc`.
-    fn local_count(
+    /// Locally count rows `[start, end)` block by block with `count`
+    /// (whose answer aligns with `acc`) and add the tallies into `acc`.
+    fn local_sum(
         &self,
-        start: usize,
-        end: usize,
-        candidates: &[Itemset],
+        (start, end): (usize, usize),
         acc: &mut [u64],
+        count: impl Fn(&EncodedTable) -> Result<Vec<u64>, ScanCancelled>,
     ) -> Result<(), CountError> {
         let schema = self.meta.schema().clone();
         let encoders = self.meta.encoders().to_vec();
-        let options = self.local_scan_options();
         self.backing
             .for_each_block(start, end, self.block_rows, &mut |columns, rows| {
                 let block =
                     EncodedTable::from_parts(schema.clone(), encoders.clone(), columns, rows);
-                let (counts, _) = count_candidates_opts(&block, candidates, None, options)?;
-                for (a, b) in acc.iter_mut().zip(counts) {
+                for (a, b) in acc.iter_mut().zip(count(&block)?) {
                     *a += b;
                 }
                 Ok(())
             })
+    }
+
+    /// One distributed counting pass over `windows` of the answer: each
+    /// window's request is broadcast and the raw answers are added up.
+    /// The windows a worker did not answer (it was retired or lost) are
+    /// then recounted locally, once per partition: `recount(block, from)`
+    /// counts one row block for the answer from entry `from` on.
+    ///
+    /// The scan time is the coordinator-measured round time. `kernel` is
+    /// the workers' (`qar mine --workers` pins them to the configured
+    /// one); `Auto` resolves per worker shard unseen, so it reads
+    /// `"mixed"`.
+    fn round(
+        &mut self,
+        pass: usize,
+        windows: &[(usize, usize)],
+        request: impl Fn(usize, usize) -> DistRequest,
+        recount: impl Fn(&EncodedTable, usize) -> Result<Vec<u64>, ScanCancelled>,
+        kernel: ScanKernel,
+    ) -> Result<Counted, CountError> {
+        let started = Instant::now();
+        let mut result = vec![0u64; windows.last().map_or(0, |w| w.1)];
+        // Windows each worker answered, in order (a lost worker stops).
+        let mut served = vec![0usize; self.cluster.len()];
+        let mut merged_workers_min = usize::MAX;
+        for (window, &(start, end)) in windows.iter().enumerate() {
+            if self.is_cancelled() {
+                return Err(CountError::Cancelled);
+            }
+            let request = request(start, end);
+            let mut sent = Vec::new();
+            for index in self.alive() {
+                match self.cluster.remotes[index].send(&request) {
+                    Ok(()) => sent.push(index),
+                    Err(detail) => self.lose(index, pass, detail)?,
+                }
+            }
+            let mut merged_workers = 0usize;
+            for index in sent {
+                match self.cluster.remotes[index].receive() {
+                    Ok(DistResponse::Counts { counts }) if counts.len() == end - start => {
+                        for (a, b) in result[start..end].iter_mut().zip(counts) {
+                            *a += b;
+                        }
+                        served[index] = window + 1;
+                        merged_workers += 1;
+                    }
+                    Ok(other) => {
+                        let detail = format!("malformed counts ({})", describe(&other));
+                        self.lose(index, pass, detail)?;
+                    }
+                    Err(detail) => self.lose(index, pass, detail)?,
+                }
+            }
+            merged_workers_min = merged_workers_min.min(merged_workers);
+        }
+        for (index, &served) in served.iter().enumerate() {
+            if let Some(&(from, _)) = windows.get(served) {
+                self.local_sum(self.ranges[index], &mut result[from..], |block| {
+                    recount(block, from)
+                })?;
+            }
+        }
+        self.emit(TraceEvent::PassMerged {
+            pass,
+            workers: if merged_workers_min == usize::MAX {
+                0
+            } else {
+                merged_workers_min
+            },
+            candidates: result.len(),
+            elapsed_us: micros(started.elapsed()),
+        });
+        let stats = PassStats {
+            scan_time: started.elapsed(),
+            kernel: match kernel {
+                ScanKernel::Auto => "mixed".to_string(),
+                pinned => pinned.name().to_string(),
+            },
+            ..PassStats::default()
+        };
+        Ok((result, stats))
     }
 
     /// Candidate batches whose encoded frames stay under the wire
@@ -599,6 +679,24 @@ impl<'a> DistSource<'a> {
             batches.push((start, candidates.len()));
         }
         batches
+    }
+
+    /// Start a cluster as `options` asks and wrap it around `backing`
+    /// ([`DistSource::new`]).
+    pub fn start(
+        options: &DistOptions,
+        backing: Backing<'a>,
+        config: &MinerConfig,
+        sink: Option<&'a dyn ProgressSink>,
+        cancel: Option<&'a CancelToken>,
+    ) -> Result<DistSource<'a>, MinerError> {
+        let cluster = Cluster::start(&ClusterOptions {
+            workers: options.workers,
+            spawn: options.spawn.clone(),
+            read_timeout: options.read_timeout,
+            accept_timeout: ClusterOptions::default().accept_timeout,
+        })?;
+        DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)
     }
 
     /// Gracefully stop the cluster. Implicit on drop; explicit here so
@@ -690,68 +788,42 @@ impl CountSource for DistSource<'_> {
         Ok(merged)
     }
 
-    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let started = Instant::now();
-        let mut result = vec![0u64; candidates.len()];
-        let mut merged_workers_min = usize::MAX;
-        for (batch_start, batch_end) in Self::batches(candidates) {
-            if self.is_cancelled() {
-                return Err(CountError::Cancelled);
-            }
-            let batch = &candidates[batch_start..batch_end];
-            let request = DistRequest::CountCandidates {
-                pass: pass as u32,
-                candidates: batch.to_vec(),
-            };
-            let polled = self.alive();
-            let mut sent = Vec::new();
-            for &index in &polled {
-                match self.cluster.remotes[index].send(&request) {
-                    Ok(()) => sent.push(index),
-                    Err(detail) => self.lose(index, pass, detail)?,
-                }
-            }
-            let mut merged_workers = 0usize;
-            for index in sent {
-                match self.cluster.remotes[index].receive() {
-                    Ok(DistResponse::Counts { counts }) if counts.len() == batch.len() => {
-                        for (a, b) in result[batch_start..batch_end].iter_mut().zip(counts) {
-                            *a += b;
-                        }
-                        merged_workers += 1;
-                    }
-                    Ok(other) => {
-                        self.lose(
-                            index,
-                            pass,
-                            format!("malformed counts ({})", describe(&other)),
-                        )?;
-                    }
-                    Err(detail) => self.lose(index, pass, detail)?,
-                }
-            }
-            merged_workers_min = merged_workers_min.min(merged_workers);
-
-            // Every partition not covered remotely — retired before this
-            // call or lost during this batch — is recounted locally.
-            for index in 0..self.cluster.len() {
-                if !self.cluster.remotes[index].alive {
-                    let (start, end) = self.ranges[index];
-                    self.local_count(start, end, batch, &mut result[batch_start..batch_end])?;
-                }
-            }
-        }
-        self.emit(TraceEvent::PassMerged {
-            pass,
-            workers: if merged_workers_min == usize::MAX {
-                0
-            } else {
-                merged_workers_min
+    fn count_pairs(&mut self, grid: &PairGrid) -> Result<Counted, CountError> {
+        let (cells, step) = (grid.len(), self.pair_window);
+        let windows: Vec<(usize, usize)> = (0..cells)
+            .step_by(step)
+            .map(|start| (start, (start + step).min(cells)))
+            .collect();
+        let options = self.local;
+        self.round(
+            2,
+            &windows,
+            |start, end| DistRequest::CountPairs {
+                grid: grid.clone(),
+                start: start as u64,
+                len: (end - start) as u64,
             },
-            candidates: candidates.len(),
-            elapsed_us: micros(started.elapsed()),
-        });
-        Ok(result)
+            |block, from| {
+                let (counts, _) = count_pairs_opts(block, grid, PAIR_CELL_BUDGET, options)?;
+                Ok(counts[from..].to_vec())
+            },
+            // The workers' pair arrays are plain per-row increments.
+            ScanKernel::Direct,
+        )
+    }
+
+    fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Counted, CountError> {
+        let options = self.local;
+        self.round(
+            pass,
+            &Self::batches(candidates),
+            |start, end| DistRequest::CountCandidates {
+                pass: pass as u32,
+                candidates: candidates[start..end].to_vec(),
+            },
+            |block, from| Ok(count_candidates_opts(block, &candidates[from..], None, options)?.0),
+            self.local.kernel,
+        )
     }
 }
 
@@ -795,7 +867,7 @@ impl Default for DistOptions {
 }
 
 /// Run the complete Steps 3–5 pipeline with counting distributed across
-/// a worker pool. Bit-identical to the serial
+/// a worker pool. Bit-identical to
 /// [`qar_core::Miner::mine_encoded`] on the same data: same frequent
 /// itemsets, supports, rules, and interest verdicts.
 pub fn mine_distributed(
@@ -805,30 +877,8 @@ pub fn mine_distributed(
     sink: Option<&dyn ProgressSink>,
     cancel: Option<&CancelToken>,
 ) -> Result<MiningOutput, MinerError> {
-    mine_distributed_captured(backing, config, options, sink, cancel).map(|(output, _)| output)
-}
-
-/// [`mine_distributed`] that also returns the raw tallies of every
-/// counting pass ([`CapturedCounts`]) — what `qar mine --store` persists
-/// as the catalog's `COUNTS` section so later runs can update it by
-/// scanning only appended rows. Capture wraps the merged coordinator-side
-/// counts, so the tallies are bit-identical to a serial capture of the
-/// same data.
-pub fn mine_distributed_captured(
-    backing: Backing<'_>,
-    config: &MinerConfig,
-    options: &DistOptions,
-    sink: Option<&dyn ProgressSink>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MiningOutput, CapturedCounts), MinerError> {
-    let cluster = Cluster::start(&ClusterOptions {
-        workers: options.workers,
-        spawn: options.spawn.clone(),
-        read_timeout: options.read_timeout,
-        accept_timeout: ClusterOptions::default().accept_timeout,
-    })?;
-    let mut source = DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)?;
-    let result = mine_source_captured(&mut source, config, sink, cancel);
+    let mut source = DistSource::start(options, backing, config, sink, cancel)?;
+    let result = mine_source(&mut source, config, sink, cancel);
     source.shutdown();
     result
 }
@@ -837,7 +887,7 @@ pub fn mine_distributed_captured(
 mod tests {
     use super::*;
     use qar_core::frequent::attribute_value_counts;
-    use qar_core::source::mine_source;
+    use qar_core::source::mine_source_captured;
     use qar_core::Miner;
     use qar_store::Catalog;
     use qar_table::{Table, Value};
@@ -950,14 +1000,11 @@ mod tests {
         let mut serial_source = qar_core::InMemorySource::new(&enc, &config());
         let (serial, serial_counts) =
             mine_source_captured(&mut serial_source, &config(), None, None).unwrap();
-        let (dist, dist_counts) = mine_distributed_captured(
-            Backing::Memory(&enc),
-            &config(),
-            &threads_options(3),
-            None,
-            None,
-        )
-        .unwrap();
+        let options = threads_options(3);
+        let mut source =
+            DistSource::start(&options, Backing::Memory(&enc), &config(), None, None).unwrap();
+        let (dist, dist_counts) = mine_source_captured(&mut source, &config(), None, None).unwrap();
+        source.shutdown();
         assert_identical(&serial, &dist);
         assert_eq!(
             serial_counts, dist_counts,
@@ -1037,12 +1084,14 @@ mod tests {
     /// encoders, column-major codes, row count.
     type FlakyPartition = (Schema, Vec<AttributeEncoder>, Vec<Vec<u32>>, usize);
 
-    /// A worker that serves the load phase and pass 1 correctly, then
-    /// drops its connection at the first candidate-counting request.
-    fn spawn_flaky(addr: String) -> std::thread::JoinHandle<()> {
+    /// A worker that serves the load phase, pass 1 and the first
+    /// `pair_windows` pass-2 windows correctly, then drops its connection
+    /// at the next counting request.
+    fn spawn_flaky(addr: String, pair_windows: usize) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             let mut stream = TcpStream::connect(&addr).unwrap();
             let mut partition: Option<FlakyPartition> = None;
+            let mut windows_served = 0;
             loop {
                 let Ok(Some(request)) = qar_store::dist::read_request(&mut stream) else {
                     return;
@@ -1073,7 +1122,22 @@ mod tests {
                             counts: attribute_value_counts(&table),
                         }
                     }
-                    DistRequest::CountCandidates { .. } => return, // drop mid-pass
+                    DistRequest::CountPairs { grid, start, len }
+                        if windows_served < pair_windows =>
+                    {
+                        windows_served += 1;
+                        let p = partition.as_ref().unwrap();
+                        let table =
+                            EncodedTable::from_parts(p.0.clone(), p.1.clone(), p.2.clone(), p.3);
+                        let (counts, _) =
+                            count_pairs_opts(&table, &grid, PAIR_CELL_BUDGET, ScanOptions::new(1))
+                                .unwrap();
+                        DistResponse::Counts {
+                            counts: counts[start as usize..(start + len) as usize].to_vec(),
+                        }
+                    }
+                    // Drop mid-pass.
+                    DistRequest::CountPairs { .. } | DistRequest::CountCandidates { .. } => return,
                     DistRequest::Shutdown => {
                         let _ = qar_store::dist::write_response(&mut stream, &DistResponse::Bye);
                         return;
@@ -1087,8 +1151,9 @@ mod tests {
     }
 
     /// A 2-worker cluster with deterministic indices: worker 0 is a real
-    /// worker, worker 1 drops its connection at the first pass-2 count.
-    fn flaky_cluster() -> (Cluster, Vec<std::thread::JoinHandle<()>>) {
+    /// worker, worker 1 drops its connection after `pair_windows` pass-2
+    /// windows.
+    fn flaky_cluster(pair_windows: usize) -> (Cluster, Vec<std::thread::JoinHandle<()>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let good_addr = addr.clone();
@@ -1096,7 +1161,7 @@ mod tests {
             let _ = crate::worker::run_worker(&good_addr, &WorkerOptions::default());
         });
         let (good_stream, _) = listener.accept().unwrap();
-        let flaky = spawn_flaky(addr);
+        let flaky = spawn_flaky(addr, pair_windows);
         let (flaky_stream, _) = listener.accept().unwrap();
         let cluster = Cluster::from_streams(
             vec![good_stream, flaky_stream],
@@ -1107,9 +1172,21 @@ mod tests {
 
     #[test]
     fn lost_worker_recovers_with_local_recount() {
+        lost_worker_recovers_after(0, BATCH_BYTES / 8);
+    }
+
+    /// A worker lost between two windows of the pass-2 answer: the
+    /// windows it served stay merged, the rest of its partition is
+    /// recounted locally.
+    #[test]
+    fn worker_lost_mid_pair_pass_recovers_the_missing_windows() {
+        lost_worker_recovers_after(2, 1);
+    }
+
+    fn lost_worker_recovers_after(pair_windows: usize, window_cells: usize) {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let (cluster, threads) = flaky_cluster();
+        let (cluster, threads) = flaky_cluster(pair_windows);
         let sink = qar_trace::CollectingSink::new();
         let mut source = DistSource::new(
             cluster,
@@ -1120,6 +1197,7 @@ mod tests {
             false,
         )
         .unwrap();
+        source.pair_window = window_cells;
         let dist = mine_source(&mut source, &config(), Some(&sink), None).unwrap();
         source.shutdown();
         for thread in threads {
@@ -1146,7 +1224,7 @@ mod tests {
     #[test]
     fn fail_fast_surfaces_worker_lost() {
         let enc = encoded();
-        let (cluster, threads) = flaky_cluster();
+        let (cluster, threads) = flaky_cluster(0);
         let mut source = DistSource::new(
             cluster,
             Backing::Memory(&enc),

@@ -42,7 +42,6 @@ pub mod coordinator;
 pub mod worker;
 
 pub use coordinator::{
-    mine_distributed, mine_distributed_captured, Backing, Cluster, ClusterOptions, DistOptions,
-    DistSource, WorkerSpawn,
+    mine_distributed, Backing, Cluster, ClusterOptions, DistOptions, DistSource, WorkerSpawn,
 };
 pub use worker::{run_worker, serve_connection, WorkerOptions};

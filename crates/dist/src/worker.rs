@@ -15,8 +15,8 @@
 //! loss) terminate the serve loop with a [`ProtocolError`].
 
 use qar_core::frequent::attribute_value_counts;
-use qar_core::supercand::{count_candidates_opts, ScanOptions};
-use qar_core::{MinerConfig, ScanKernel};
+use qar_core::supercand::{count_candidates_opts, count_pairs_opts, ScanOptions, PAIR_CELL_BUDGET};
+use qar_core::{MinerConfig, PairGrid, ScanKernel};
 use qar_store::dist::{read_request, write_response, DistRequest, DistResponse};
 use qar_store::protocol::ProtocolError;
 use qar_table::{AttributeEncoder, EncodedTable, Schema};
@@ -50,6 +50,13 @@ impl WorkerOptions {
         }
         MinerConfig::default().effective_parallelism()
     }
+
+    fn scan_options(&self) -> ScanOptions<'static> {
+        ScanOptions {
+            kernel: self.kernel,
+            ..ScanOptions::new(self.effective_threads())
+        }
+    }
 }
 
 /// The accumulated partition: schema, encoders, and the code columns
@@ -61,6 +68,9 @@ struct Partition {
     columns: Vec<Vec<u32>>,
     rows: usize,
     encoded: Option<EncodedTable>,
+    /// The last pair grid counted and its full count vector, serving the
+    /// coordinator's successive windows of one pass-2 answer.
+    pairs: Option<(PairGrid, Vec<u64>)>,
 }
 
 impl Partition {
@@ -72,6 +82,7 @@ impl Partition {
             columns,
             rows: 0,
             encoded: None,
+            pairs: None,
         }
     }
 
@@ -97,7 +108,9 @@ impl Partition {
             }
         }
         // A block after counting began re-opens the raw columns (the
-        // assembled table owns them by then — copy them back out).
+        // assembled table owns them by then — copy them back out) and
+        // invalidates the cached pair counts.
+        self.pairs = None;
         if let Some(encoded) = self.encoded.take() {
             self.columns = self
                 .schema
@@ -125,6 +138,36 @@ impl Partition {
             ));
         }
         self.encoded.as_ref().expect("assembled above")
+    }
+
+    /// Cells `[start, start + len)` of `grid`'s counts over the
+    /// partition, counting the grid only when it differs from the cached
+    /// one.
+    fn pair_window(
+        &mut self,
+        grid: PairGrid,
+        start: u64,
+        len: u64,
+        opts: &WorkerOptions,
+    ) -> Result<Vec<u64>, String> {
+        let in_range = grid.attrs().iter().all(|(attr, items)| {
+            let encoder = self.encoders.get(*attr as usize);
+            encoder.is_some_and(|e| items.iter().all(|item| item.hi < e.cardinality()))
+        });
+        if !in_range {
+            return Err("pair grid item outside its attribute's codes".to_string());
+        }
+        if !matches!(&self.pairs, Some((cached, _)) if *cached == grid) {
+            let counted =
+                count_pairs_opts(self.table(), &grid, PAIR_CELL_BUDGET, opts.scan_options());
+            let (counts, _) = counted.map_err(|_| "counting scan was cancelled".to_string())?;
+            self.pairs = Some((grid, counts));
+        }
+        let counts = &self.pairs.as_ref().expect("counted above").1;
+        (start.checked_add(len))
+            .filter(|&end| end <= counts.len() as u64)
+            .map(|end| counts[start as usize..end as usize].to_vec())
+            .ok_or_else(|| format!("pair window {start}+{len} outside {} cells", counts.len()))
     }
 }
 
@@ -170,17 +213,22 @@ pub fn serve_connection<S: Read + Write>(
                     message: "count before setup".to_string(),
                 },
                 Some(p) => {
-                    let options = ScanOptions {
-                        kernel: opts.kernel,
-                        ..ScanOptions::new(opts.effective_threads())
-                    };
-                    match count_candidates_opts(p.table(), &candidates, None, options) {
+                    match count_candidates_opts(p.table(), &candidates, None, opts.scan_options()) {
                         Ok((counts, _)) => DistResponse::Counts { counts },
                         Err(_) => DistResponse::Error {
                             message: "counting scan was cancelled".to_string(),
                         },
                     }
                 }
+            },
+            DistRequest::CountPairs { grid, start, len } => match &mut partition {
+                None => DistResponse::Error {
+                    message: "count before setup".to_string(),
+                },
+                Some(p) => match p.pair_window(grid, start, len, opts) {
+                    Ok(counts) => DistResponse::Counts { counts },
+                    Err(message) => DistResponse::Error { message },
+                },
             },
             DistRequest::Shutdown => {
                 write_response(stream, &DistResponse::Bye)?;
@@ -292,6 +340,56 @@ mod tests {
                 DistResponse::Bye,
             ]
         );
+    }
+
+    #[test]
+    fn pair_windows_slice_one_count_of_the_grid() {
+        let (schema, encoders) = schema_and_encoders();
+        let grid = PairGrid::new(vec![
+            (
+                0,
+                vec![Item::value(0, 0), Item::value(0, 1), Item::value(0, 2)],
+            ),
+            (1, vec![Item::value(1, 0), Item::value(1, 1)]),
+        ])
+        .unwrap();
+        let window = |start, len| DistRequest::CountPairs {
+            grid: grid.clone(),
+            start,
+            len,
+        };
+        let responses = converse(&[
+            DistRequest::Setup { schema, encoders },
+            DistRequest::Rows {
+                columns: vec![vec![0, 1, 1, 2], vec![1, 1, 0, 1]],
+            },
+            window(0, 4),
+            window(4, 2),
+            window(5, 2),
+            DistRequest::CountPairs {
+                grid: PairGrid::new(vec![(1, vec![Item::value(1, 2)])]).unwrap(),
+                start: 0,
+                len: 0,
+            },
+            // New rows invalidate the cached counts.
+            DistRequest::Rows {
+                columns: vec![vec![0], vec![1]],
+            },
+            window(0, 2),
+        ]);
+        assert_eq!(
+            responses[2],
+            DistResponse::Counts {
+                counts: vec![0, 1, 1, 1]
+            }
+        );
+        assert_eq!(responses[3], DistResponse::Counts { counts: vec![0, 1] });
+        assert!(matches!(responses[4], DistResponse::Error { .. }));
+        assert!(
+            matches!(responses[5], DistResponse::Error { .. }),
+            "code 2 of a 2-label attribute"
+        );
+        assert_eq!(responses[7], DistResponse::Counts { counts: vec![0, 2] });
     }
 
     #[test]

@@ -15,9 +15,16 @@
 //! Setup {schema, encoders}        → Ready
 //! Rows {columns} ...              → RowsLoaded {total_rows}   (repeated)
 //! CountItems                      → ItemCounts {counts}       (pass 1)
-//! CountCandidates {pass, cands}   → Counts {counts}           (pass k ≥ 2)
+//! CountPairs {grid, start, len}   → Counts {counts}           (pass 2, repeated)
+//! CountCandidates {pass, cands}   → Counts {counts}           (pass k ≥ 3)
 //! Shutdown                        → Bye
 //! ```
+//!
+//! Pass 2 ships only the per-attribute frequent-item lists (a
+//! [`PairGrid`]); the worker counts its cells implicitly and answers a
+//! window `[start, start + len)` of the grid's cells per request, so a
+//! multi-million-cell answer stays under the frame ceiling. The worker keeps the full count vector of the last grid it
+//! counted, so successive windows of one grid cost one scan.
 //!
 //! Every count a worker returns is the *raw* tally over its own row
 //! partition — never filtered by a support threshold — so the
@@ -35,7 +42,8 @@ use crate::catalog::{
 };
 use crate::format::{Reader, Writer};
 use crate::protocol::{encode_frame, read_frame, ProtocolError};
-use qar_itemset::Itemset;
+use qar_core::PairGrid;
+use qar_itemset::{Item, Itemset};
 use qar_table::{AttributeEncoder, Schema};
 use std::io::{Read, Write};
 
@@ -52,6 +60,8 @@ pub mod tag {
     pub const REQ_COUNT_CANDIDATES: u32 = 24;
     /// Stop the worker; it replies and exits.
     pub const REQ_SHUTDOWN: u32 = 25;
+    /// Count one window of the implicit pass-2 pair grid.
+    pub const REQ_COUNT_PAIRS: u32 = 26;
 
     /// Setup accepted.
     pub const RESP_READY: u32 = 121;
@@ -59,7 +69,7 @@ pub mod tag {
     pub const RESP_ROWS_LOADED: u32 = 122;
     /// Per-attribute histograms answering [`REQ_COUNT_ITEMS`].
     pub const RESP_ITEM_COUNTS: u32 = 123;
-    /// Raw candidate counts answering [`REQ_COUNT_CANDIDATES`].
+    /// Raw counts answering [`REQ_COUNT_CANDIDATES`] or [`REQ_COUNT_PAIRS`].
     pub const RESP_COUNTS: u32 = 124;
     /// Acknowledges [`REQ_SHUTDOWN`]; the connection closes after.
     pub const RESP_BYE: u32 = 125;
@@ -93,6 +103,16 @@ pub enum DistRequest {
         /// The candidates, in coordinator order.
         candidates: Vec<Itemset>,
     },
+    /// Count the pass-2 pair grid over the partition and answer the
+    /// cells `[start, start + len)` of its canonical order.
+    CountPairs {
+        /// Each attribute's frequent items.
+        grid: PairGrid,
+        /// First cell of the window.
+        start: u64,
+        /// Cells in the window.
+        len: u64,
+    },
     /// Stop the worker.
     Shutdown,
 }
@@ -113,8 +133,9 @@ pub enum DistResponse {
         /// Per-attribute value histograms.
         counts: Vec<Vec<u64>>,
     },
-    /// Candidate counts, aligned with the request's candidate order —
-    /// raw tallies over the worker's partition.
+    /// Candidate counts, aligned with the request's candidate order (or
+    /// the requested pair-grid window) — raw tallies over the worker's
+    /// partition.
     Counts {
         /// One count per candidate.
         counts: Vec<u64>,
@@ -136,6 +157,7 @@ impl DistRequest {
             DistRequest::Rows { .. } => tag::REQ_ROWS,
             DistRequest::CountItems => tag::REQ_COUNT_ITEMS,
             DistRequest::CountCandidates { .. } => tag::REQ_COUNT_CANDIDATES,
+            DistRequest::CountPairs { .. } => tag::REQ_COUNT_PAIRS,
             DistRequest::Shutdown => tag::REQ_SHUTDOWN,
         }
     }
@@ -162,6 +184,19 @@ impl DistRequest {
                 w.put_u64(candidates.len() as u64);
                 for c in candidates {
                     encode_itemset(&mut w, c);
+                }
+            }
+            DistRequest::CountPairs { grid, start, len } => {
+                w.put_u64(*start);
+                w.put_u64(*len);
+                w.put_u64(grid.attrs().len() as u64);
+                for (attr, items) in grid.attrs() {
+                    w.put_u32(*attr);
+                    w.put_u64(items.len() as u64);
+                    for item in items {
+                        w.put_u32(item.lo);
+                        w.put_u32(item.hi);
+                    }
                 }
             }
             DistRequest::Shutdown => {}
@@ -214,6 +249,26 @@ impl DistRequest {
                     candidates.push(decode_itemset(&mut r)?);
                 }
                 DistRequest::CountCandidates { pass, candidates }
+            }
+            tag::REQ_COUNT_PAIRS => {
+                let start = r.get_u64()?;
+                let len = r.get_u64()?;
+                // An attribute entry is at least its id + item count.
+                let n = r.get_count(4 + 8)?;
+                let mut attrs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let attr = r.get_u32()?;
+                    let m = r.get_count(8)?;
+                    let mut items = Vec::with_capacity(m);
+                    for _ in 0..m {
+                        let (lo, hi) = (r.get_u32()?, r.get_u32()?);
+                        items.push(Item { attr, lo, hi });
+                    }
+                    attrs.push((attr, items));
+                }
+                let grid =
+                    PairGrid::new(attrs).map_err(|detail| ProtocolError::Corrupt { detail })?;
+                DistRequest::CountPairs { grid, start, len }
             }
             tag::REQ_SHUTDOWN => DistRequest::Shutdown,
             other => return Err(ProtocolError::UnknownTag(other)),
@@ -387,6 +442,15 @@ mod tests {
                     Itemset::new(vec![Item::value(0, 2), Item::value(1, 0)]),
                 ],
             },
+            DistRequest::CountPairs {
+                grid: PairGrid::new(vec![
+                    (0, vec![Item::range(0, 0, 1), Item::value(0, 2)]),
+                    (1, vec![Item::value(1, 0), Item::value(1, 1)]),
+                ])
+                .unwrap(),
+                start: 1,
+                len: 1,
+            },
             DistRequest::Shutdown,
         ]
     }
@@ -510,6 +574,25 @@ mod tests {
         let frame = good.to_frame().unwrap();
         let (t, p) = decode_frame(&frame).unwrap();
         assert_eq!(DistRequest::decode(t, p).unwrap(), good);
+    }
+
+    #[test]
+    fn non_canonical_pair_grid_rejected() {
+        // Attributes out of order.
+        let mut payload = Writer::new();
+        payload.put_u64(0);
+        payload.put_u64(1);
+        payload.put_u64(2);
+        for attr in [1u32, 0] {
+            payload.put_u32(attr);
+            payload.put_u64(1);
+            payload.put_u32(0);
+            payload.put_u32(0);
+        }
+        assert!(matches!(
+            DistRequest::decode(tag::REQ_COUNT_PAIRS, &payload.into_bytes()),
+            Err(ProtocolError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -59,8 +59,11 @@ pub fn section_name(tag: u32) -> &'static str {
     }
 }
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table, `CRC_TABLES[k][i]` advances `CRC_TABLES[k - 1][i]` by one more
+/// zero byte, so eight input bytes fold into the state per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -73,19 +76,54 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Fold `bytes` into a running (pre-inverted) CRC-32 state.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    !crc32_update(!0, bytes)
+}
+
+/// CRC-32 of `tag`'s little-endian bytes followed by `payload` — the
+/// checksum of a catalog section or protocol frame — without copying
+/// the two into one buffer.
+pub fn tagged_crc32(tag: u32, payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &tag.to_le_bytes()), payload)
 }
 
 /// Append-only encoder for catalog payloads.
@@ -145,12 +183,9 @@ impl Writer {
     /// Append a framed section: tag, payload length, CRC over
     /// tag ++ payload, then the payload itself.
     pub fn put_section(&mut self, tag: u32, payload: &[u8]) {
-        let mut crc_input = Vec::with_capacity(4 + payload.len());
-        crc_input.extend_from_slice(&tag.to_le_bytes());
-        crc_input.extend_from_slice(payload);
         self.put_u32(tag);
         self.put_u64(payload.len() as u64);
-        self.put_u32(crc32(&crc_input));
+        self.put_u32(tagged_crc32(tag, payload));
         self.buf.extend_from_slice(payload);
     }
 }
@@ -291,10 +326,7 @@ impl<'a> Reader<'a> {
         }
         let crc = self.get_u32()?;
         let payload = self.take(len as usize)?;
-        let mut crc_input = Vec::with_capacity(4 + payload.len());
-        crc_input.extend_from_slice(&tag.to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
+        if tagged_crc32(tag, payload) != crc {
             return Err(StoreError::ChecksumMismatch {
                 section: section_name(tag),
             });
@@ -319,10 +351,7 @@ impl<'a> Reader<'a> {
         }
         let crc = self.get_u32()?;
         let payload = self.take(len as usize)?;
-        let mut crc_input = Vec::with_capacity(4 + payload.len());
-        crc_input.extend_from_slice(&tag.to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        Ok((tag, len, crc32(&crc_input) == crc))
+        Ok((tag, len, tagged_crc32(tag, payload) == crc))
     }
 }
 

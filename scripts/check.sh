@@ -193,6 +193,23 @@ grep -q '"event":"incremental_update"' "$STORE_DIR/update.trace"
 cmp "$STORE_DIR/people_updated.qarcat" "$STORE_DIR/people_scratch.qarcat"
 ./target/release/qar store-check "$STORE_DIR/people_updated.qarcat" > /dev/null
 
+echo "==> realistic C2 smoke (every kernel and path, 3.4M pass-2 candidates, byte-identical)"
+# The credit table at minsup 10% / maxsup 20% gives 3,408,790 pass-2
+# candidates. Every scan kernel and the out-of-core path must mine it into
+# a counts-bearing catalog within 60 s, and the catalogs must agree byte
+# for byte under --normalize-stats.
+CREDIT_FLAGS="--schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    --minsup 0.1 --maxsup 0.2 --normalize-stats"
+./target/release/qar generate credit --records 50000 --seed 1 --output "$STORE_DIR/credit.csv"
+for run in "default:" "direct:--kernel direct" "bitmask:--kernel bitmask" \
+    "chunked:--chunk-rows 20000"; do
+    timeout 60 ./target/release/qar mine --input "$STORE_DIR/credit.csv" $CREDIT_FLAGS \
+        ${run#*:} --store "$STORE_DIR/c2_${run%%:*}.qarcat" > /dev/null
+done
+for name in direct bitmask chunked; do
+    cmp "$STORE_DIR/c2_default.qarcat" "$STORE_DIR/c2_$name.qarcat"
+done
+
 echo "==> update bench smoke (delta-update speedup floor)"
 # Quick run of the incremental-update bench: exits non-zero when a 1%
 # delta update fails to beat re-mining base+delta from scratch by at

@@ -17,14 +17,11 @@ use std::time::{Duration, Instant};
 use qar_analytics::AnalyticsConfig;
 use qar_core::{
     encoding_fingerprint, mine_source, mine_source_captured, update_precheck, CapturedCounts,
-    ChunkedSource, CountError, CountSource, InMemorySource, InterestConfig, InterestMode,
-    MergeSource, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec, PartitionStrategy,
-    QuantRule, RuleInterest, ScanKernel, SupportCounts, UpdateInput,
+    ChunkedSource, CountError, CountSource, Counted, InMemorySource, InterestConfig, InterestMode,
+    MergeSource, Miner, MinerConfig, MinerError, MiningOutput, PairGrid, PartitionSpec,
+    PartitionStrategy, QuantRule, RuleInterest, ScanKernel, SupportCounts, UpdateInput,
 };
-use qar_dist::{
-    mine_distributed, mine_distributed_captured, Backing, Cluster, ClusterOptions, DistOptions,
-    DistSource, WorkerSpawn,
-};
+use qar_dist::{Backing, DistOptions, DistSource, WorkerSpawn};
 use qar_prng::Prng;
 use qar_store::protocol::{Query, QueryOptions, Request, Response};
 use qar_store::serve::ServeClient;
@@ -1296,40 +1293,23 @@ pub fn run_mine_on_table_spawn(
             qar_core::pipeline::build_encoders(table, &args.config).map_err(box_miner_error)?;
         let encoded = EncodedTable::encode(table, encoders)?;
         let cancel = deadline_token(args);
-        let options = dist_options(args, spawn);
-        let (mut result, captured) = if capture {
-            let (result, captured) = mine_distributed_captured(
-                Backing::Memory(&encoded),
-                &args.config,
-                &options,
-                sink.as_deref(),
-                cancel.as_ref(),
-            )
-            .map_err(box_miner_error)?;
-            (result, Some(captured))
-        } else {
-            let result = mine_distributed(
-                Backing::Memory(&encoded),
-                &args.config,
-                &options,
-                sink.as_deref(),
-                cancel.as_ref(),
-            )
-            .map_err(box_miner_error)?;
-            (result, None)
-        };
-        result.stats.intervals_per_attribute = intervals.clone();
-        let counts = captured.map(|captured| {
-            SupportCounts::assemble(
-                result.encoded.schema(),
-                result.encoded.encoders(),
-                table.num_rows() as u64,
-                &args.config,
-                intervals,
-                captured,
-            )
-        });
-        (result, counts)
+        let mut source = DistSource::start(
+            &dist_options(args, spawn),
+            Backing::Memory(&encoded),
+            &args.config,
+            sink.as_deref(),
+            cancel.as_ref(),
+        )
+        .map_err(box_miner_error)?;
+        let mined = mine_topology(
+            &mut source,
+            args,
+            intervals,
+            sink.as_deref(),
+            cancel.as_ref(),
+        );
+        source.shutdown();
+        mined.map_err(box_miner_error)?
     } else if capture {
         let (result, counts) = build_miner(args, sink.clone()).mine_with_counts(table)?;
         (result, Some(counts))
@@ -1385,58 +1365,44 @@ pub fn run_mine_chunked_spawn(
     let store = qar_table::chunk::spill_csv(open()?, &schema, encoders, args.chunk_rows, &dir)?;
     let num_rows = store.num_rows() as u64;
     let cancel = deadline_token(args);
-    let capture = args.store.is_some();
     let mined = if args.workers > 0 {
         let spawn = spawn.ok_or_else(|| err("distributed mining needs a worker spawn"))?;
-        let options = dist_options(args, spawn);
-        if capture {
-            mine_distributed_captured(
-                Backing::Chunks(&store),
-                &args.config,
-                &options,
+        DistSource::start(
+            &dist_options(args, spawn),
+            Backing::Chunks(&store),
+            &args.config,
+            sink.as_deref(),
+            cancel.as_ref(),
+        )
+        .and_then(|mut source| {
+            let mined = mine_topology(
+                &mut source,
+                args,
+                intervals,
                 sink.as_deref(),
                 cancel.as_ref(),
-            )
-            .map(|(r, c)| (r, Some(c)))
-        } else {
-            mine_distributed(
-                Backing::Chunks(&store),
-                &args.config,
-                &options,
-                sink.as_deref(),
-                cancel.as_ref(),
-            )
-            .map(|r| (r, None))
-        }
+            );
+            source.shutdown();
+            mined
+        })
     } else {
         let mut source = ChunkedSource::new(&store, &args.config);
         if let Some(token) = &cancel {
             source = source.with_cancel(token);
         }
-        if capture {
-            mine_source_captured(&mut source, &args.config, sink.as_deref(), cancel.as_ref())
-                .map(|(r, c)| (r, Some(c)))
-        } else {
-            mine_source(&mut source, &args.config, sink.as_deref(), cancel.as_ref())
-                .map(|r| (r, None))
-        }
+        mine_topology(
+            &mut source,
+            args,
+            intervals,
+            sink.as_deref(),
+            cancel.as_ref(),
+        )
     };
     // The spill directory is temporary either way — remove it before
     // surfacing the mining verdict.
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
-    let (mut result, captured) = mined.map_err(box_miner_error)?;
-    result.stats.intervals_per_attribute = intervals.clone();
-    let counts = captured.map(|captured| {
-        SupportCounts::assemble(
-            result.encoded.schema(),
-            result.encoded.encoders(),
-            num_rows,
-            &args.config,
-            intervals,
-            captured,
-        )
-    });
+    let (result, counts) = mined.map_err(box_miner_error)?;
     finish_mine(num_rows, result, counts, args, sink, out)
 }
 
@@ -1655,7 +1621,7 @@ fn update_via_merge(
         } else if args.workers > 0 {
             let spawn = spawn.ok_or_else(|| err("distributed mining needs a worker spawn"))?;
             let options = dist_options(args, spawn);
-            match start_dist_source(
+            match DistSource::start(
                 &options,
                 Backing::Chunks(&store),
                 config,
@@ -1720,7 +1686,7 @@ fn update_via_merge(
             Some(enc) => {
                 let spawn = spawn.ok_or_else(|| err("distributed mining needs a worker spawn"))?;
                 let options = dist_options(args, spawn);
-                match start_dist_source(
+                match DistSource::start(
                     &options,
                     Backing::Memory(enc),
                     config,
@@ -1772,22 +1738,36 @@ fn update_via_merge(
     Ok((output, new_counts))
 }
 
-/// Spin up a worker cluster and wrap it as a delta-only [`DistSource`]
-/// (the coordinator side of `--update --workers N`).
-fn start_dist_source<'a>(
-    options: &DistOptions,
-    backing: Backing<'a>,
-    config: &'a MinerConfig,
-    sink: Option<&'a dyn ProgressSink>,
-    cancel: Option<&'a CancelToken>,
-) -> Result<DistSource<'a>, MinerError> {
-    let cluster = Cluster::start(&ClusterOptions {
-        workers: options.workers,
-        spawn: options.spawn.clone(),
-        read_timeout: options.read_timeout,
-        accept_timeout: ClusterOptions::default().accept_timeout,
-    })?;
-    DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)
+/// Mine over a distributed or out-of-core source, capturing the raw
+/// tallies as [`SupportCounts`] only when the catalog will store them
+/// (`--store`); report-only runs skip the capture overhead.
+fn mine_topology(
+    source: &mut dyn CountSource,
+    args: &MineArgs,
+    intervals: Vec<Option<usize>>,
+    sink: Option<&dyn ProgressSink>,
+    cancel: Option<&CancelToken>,
+) -> Result<(MiningOutput, Option<SupportCounts>), MinerError> {
+    let config = &args.config;
+    let (mut result, captured) = if args.store.is_some() {
+        let (result, captured) = mine_source_captured(source, config, sink, cancel)?;
+        (result, Some(captured))
+    } else {
+        (mine_source(source, config, sink, cancel)?, None)
+    };
+    result.stats.intervals_per_attribute = intervals.clone();
+    let counts = captured.map(|captured| {
+        let (schema, encoders) = (result.encoded.schema(), result.encoded.encoders());
+        SupportCounts::assemble(
+            schema,
+            encoders,
+            source.num_rows(),
+            config,
+            intervals,
+            captured,
+        )
+    });
+    Ok((result, counts))
 }
 
 /// The shared tail of every `qar mine` path: normalize stats when asked,
@@ -2847,60 +2827,70 @@ impl CountSource for BenchDistSource<'_> {
     }
 
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
-        let started = Instant::now();
-        let full = qar_core::frequent::attribute_value_counts(self.full);
-        self.serial_s += started.elapsed().as_secs_f64();
+        // Histograms flattened attribute by attribute, then re-split.
+        let (flat, _) = self.time_pass(1, |table| {
+            let counts = qar_core::frequent::attribute_value_counts(table);
+            Ok((counts.concat(), Default::default()))
+        })?;
+        let mut rest = &flat[..];
+        Ok((self.full.schema().iter())
+            .map(|(id, _)| {
+                let (head, tail) = rest.split_at(self.full.cardinality(id) as usize);
+                rest = tail;
+                head.to_vec()
+            })
+            .collect())
+    }
 
-        let mut worst = 0.0f64;
-        let mut part_counts = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            let started = Instant::now();
-            part_counts.push(qar_core::frequent::attribute_value_counts(part));
-            worst = worst.max(started.elapsed().as_secs_f64());
-        }
-        self.critical_s += worst;
-
-        let started = Instant::now();
-        let mut merged: Vec<Vec<u64>> = full.iter().map(|v| vec![0u64; v.len()]).collect();
-        for counts in &part_counts {
-            for (acc, add) in merged.iter_mut().zip(counts) {
-                for (a, b) in acc.iter_mut().zip(add) {
-                    *a += b;
-                }
-            }
-        }
-        self.merge_s += started.elapsed().as_secs_f64();
-        if merged != full {
-            return Err(CountError::Failed(MinerError::Distributed(
-                "pass 1: merged partition histograms diverge from the serial scan".into(),
-            )));
-        }
-        Ok(full)
+    fn count_pairs(&mut self, grid: &PairGrid) -> Result<Counted, CountError> {
+        self.time_pass(2, |table| {
+            qar_core::supercand::count_pairs_opts(
+                table,
+                grid,
+                qar_core::supercand::PAIR_CELL_BUDGET,
+                Self::opts(),
+            )
+        })
     }
 
     fn count(
         &mut self,
         pass: usize,
         candidates: &[qar_itemset::Itemset],
-    ) -> Result<Vec<u64>, CountError> {
-        let started = Instant::now();
-        let (full, _) =
-            qar_core::supercand::count_candidates_opts(self.full, candidates, None, Self::opts())?;
-        self.serial_s += started.elapsed().as_secs_f64();
+    ) -> Result<Counted, CountError> {
+        self.time_pass(pass, |table| {
+            qar_core::supercand::count_candidates_opts(table, candidates, None, Self::opts())
+        })
+    }
+}
+
+impl BenchDistSource<'_> {
+    /// Count one pass serially and per partition with `count`, timing
+    /// both, and check the merged partition counts equal the serial ones.
+    fn time_pass(
+        &mut self,
+        pass: usize,
+        count: impl Fn(&EncodedTable) -> Result<Counted, qar_core::supercand::ScanCancelled>,
+    ) -> Result<Counted, CountError> {
+        let timed = |table: &EncodedTable| -> Result<(Counted, f64), CountError> {
+            let started = Instant::now();
+            let counted = count(table)?;
+            Ok((counted, started.elapsed().as_secs_f64()))
+        };
+        let ((full, stats), serial_s) = timed(self.full)?;
+        self.serial_s += serial_s;
 
         let mut worst = 0.0f64;
         let mut part_counts = Vec::with_capacity(self.parts.len());
         for part in &self.parts {
-            let started = Instant::now();
-            let (counts, _) =
-                qar_core::supercand::count_candidates_opts(part, candidates, None, Self::opts())?;
+            let ((counts, _), part_s) = timed(part)?;
             part_counts.push(counts);
-            worst = worst.max(started.elapsed().as_secs_f64());
+            worst = worst.max(part_s);
         }
         self.critical_s += worst;
 
         let started = Instant::now();
-        let mut merged = vec![0u64; candidates.len()];
+        let mut merged = vec![0u64; full.len()];
         for counts in &part_counts {
             for (a, b) in merged.iter_mut().zip(counts) {
                 *a += b;
@@ -2912,7 +2902,7 @@ impl CountSource for BenchDistSource<'_> {
                 "pass {pass}: merged partition counts diverge from the serial scan"
             ))));
         }
-        Ok(full)
+        Ok((full, stats))
     }
 }
 
