@@ -37,46 +37,36 @@ pub enum PartitionStrategy {
     KMeans,
 }
 
-/// Which support-counting scan kernel the miner runs (Step 3's record
-/// scan). Every variant produces **bit-identical counts** — the kernel is
-/// a pure performance choice, never semantics — so this knob exists for
-/// ablations, benches, and the differential fuzz oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A support-counting scan kernel (Step 3's record scan) to pin. Every
+/// variant produces **bit-identical counts** — the kernel is a pure
+/// performance choice, never semantics. Left unpinned
+/// ([`MinerConfig::kernel`] `None`), each pass picks one before its scan
+/// from the shape of its super-candidates (see
+/// [`crate::supercand::choose_kernel`]); a pin exists for ablations,
+/// benches, and the differential fuzz oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanKernel {
-    /// Row-at-a-time hash-tree subset walks with no memo cache — the
-    /// reference kernel every other variant is checked against.
+    /// The paper's Section 5.2 counting: per row, a hash-tree subset walk
+    /// over the categorical parts, then a point count into each matched
+    /// super-candidate's array or R*-tree. The reference every other
+    /// path is checked against.
     Direct,
-    /// Row-at-a-time walks with the categorical-tuple memo cache: the
-    /// subset walk runs once per *distinct* tuple. Wins on
-    /// duplicate-heavy tables; self-disables (falling back to the direct
-    /// walk) when a trial block shows near-zero tuple reuse.
-    Memoized,
     /// Blocked bitmask kernel: per-attribute `lo <= code <= hi`
     /// predicates are evaluated over 1024-row blocks into `u64` bitsets,
     /// ANDed across attributes, and popcounted — no per-row branching,
     /// plus per-block min/max pre-screening so non-intersecting plans
-    /// skip whole blocks. Wins on (near-)all-distinct tables where the
-    /// memo cache cannot help.
+    /// skip whole blocks. Its cost grows with member rectangles × rows.
     Bitmask,
-    /// Start memoized and let each shard's first-full-block
-    /// duplicate-ratio trial pick: high tuple reuse keeps the memo cache,
-    /// near-zero reuse switches the shard to the bitmask kernel for its
-    /// remaining rows.
-    #[default]
-    Auto,
 }
 
 impl ScanKernel {
     /// The kernel's wire name, as recorded in
     /// [`crate::supercand::PassStats::kernel`] and the `pass_finished`
-    /// trace event (`Auto` resolves per shard and is never reported
-    /// verbatim).
+    /// trace event.
     pub fn name(self) -> &'static str {
         match self {
             ScanKernel::Direct => "direct",
-            ScanKernel::Memoized => "memoized",
             ScanKernel::Bitmask => "bitmask",
-            ScanKernel::Auto => "auto",
         }
     }
 
@@ -84,9 +74,7 @@ impl ScanKernel {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "direct" => Some(ScanKernel::Direct),
-            "memoized" | "memo" => Some(ScanKernel::Memoized),
             "bitmask" => Some(ScanKernel::Bitmask),
-            "auto" => Some(ScanKernel::Auto),
             _ => None,
         }
     }
@@ -157,13 +145,11 @@ pub struct MinerConfig {
     /// their integer counts are summed in shard order — so this knob is
     /// pure performance, never semantics.
     pub parallelism: Option<std::num::NonZeroUsize>,
-    /// Which support-counting scan kernel to run (see [`ScanKernel`]).
-    /// Counts are bit-identical for every variant — the default
-    /// [`ScanKernel::Auto`] picks memoized vs. bitmask per shard from the
-    /// first-full-block duplicate-ratio trial; the explicit variants
-    /// exist for the `--kernel` ablation and the differential fuzz
-    /// oracle.
-    pub kernel: ScanKernel,
+    /// A pinned support-counting scan kernel (see [`ScanKernel`]). The
+    /// default `None` lets each pass pick before its scan; counts are
+    /// bit-identical either way — a pin exists for the `--kernel`
+    /// ablation and the differential fuzz oracle.
+    pub kernel: Option<ScanKernel>,
 }
 
 impl Default for MinerConfig {
@@ -183,7 +169,7 @@ impl Default for MinerConfig {
             }),
             max_itemset_size: 0,
             parallelism: None,
-            kernel: ScanKernel::Auto,
+            kernel: None,
         }
     }
 }
@@ -436,18 +422,12 @@ mod tests {
 
     #[test]
     fn scan_kernel_names_round_trip() {
-        for kernel in [
-            ScanKernel::Direct,
-            ScanKernel::Memoized,
-            ScanKernel::Bitmask,
-            ScanKernel::Auto,
-        ] {
+        for kernel in [ScanKernel::Direct, ScanKernel::Bitmask] {
             assert_eq!(ScanKernel::parse(kernel.name()), Some(kernel));
             assert_eq!(kernel.to_string(), kernel.name());
         }
-        assert_eq!(ScanKernel::parse("memo"), Some(ScanKernel::Memoized));
         assert_eq!(ScanKernel::parse("simd"), None);
-        assert_eq!(ScanKernel::default(), ScanKernel::Auto);
+        assert_eq!(MinerConfig::default().kernel, None);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct Miner {
     pool: OnceLock<WorkerPool>,
 }
 
-/// The memoized Steps 1–2 of the previous [`Miner::mine`] call.
+/// The cached Steps 1–2 of the previous [`Miner::mine`] call.
 struct EncodingCache {
     fingerprint: (u64, u64),
     encoded: EncodedTable,
@@ -119,11 +119,10 @@ impl Miner {
         self
     }
 
-    /// Pin the support-counting scan kernel (the default, [`ScanKernel::Auto`],
-    /// picks memoized vs bitmask per shard from the first-block duplicate
-    /// trial).
+    /// Pin the support-counting scan kernel (unpinned, each pass picks
+    /// one before its scan from its super-candidates' shape).
     pub fn with_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.config.kernel = kernel;
+        self.config.kernel = Some(kernel);
         self
     }
 

@@ -261,12 +261,9 @@ pub(crate) fn mine_with_source_ctx(
         merge_us: 0,
         shard_scan_us: Vec::new(),
         pooled: false,
-        memoized: false,
         // Pass 1 is a plain per-attribute value count — no hash tree, no
-        // cache, no masks — which is the direct kernel's shape.
+        // masks — which is the direct kernel's shape.
         kernel: "direct".to_string(),
-        distinct_tuples: 0,
-        memo_hits: 0,
     });
     if level1.is_empty() {
         ctx.emit(|| TraceEvent::RunFinished {
@@ -1156,7 +1153,7 @@ mod tests {
                     counted += 1;
                     assert!(scan_us > 0, "{path}: pass {pass} reports scan_us 0");
                     assert!(
-                        ["direct", "memoized", "bitmask", "mixed"].contains(&kernel.as_str()),
+                        ["direct", "bitmask", "mixed"].contains(&kernel.as_str()),
                         "{path}: pass {pass} reports kernel `{kernel}`"
                     );
                 }

@@ -1,10 +1,11 @@
 //! Super-candidate support counting (Section 5.2), serial and sharded.
 //!
 //! Candidates sharing (a) identical categorical items and (b) the same set
-//! of quantitative attributes are fused into one *super-candidate*. A hash
-//! tree over the categorical parts finds which super-candidates a record's
-//! categorical values support; the quantitative values then form a point
-//! that is counted against the super-candidate's rectangles — in a dense
+//! of quantitative attributes are fused into one *super-candidate* (a
+//! *plan*; its candidates are its *members*). A hash tree over the
+//! categorical parts finds which super-candidates a record's categorical
+//! values support; the quantitative values then form a point that is
+//! counted against the super-candidate's rectangles — in a dense
 //! n-dimensional array or an R*-tree, whichever the memory heuristic
 //! prefers.
 //!
@@ -30,50 +31,40 @@
 //! The serial-equivalence property is enforced by unit tests here and a
 //! randomized end-to-end test in `tests/proptest_pipeline.rs`.
 //!
-//! # Categorical-tuple memoization
+//! # Two kernels and the rule between them
 //!
-//! On tables where a handful of distinct categorical tuples cover most
-//! rows (low-cardinality categorical attributes — the common shape for
-//! the paper's census-style data), the hash-tree subset walk computes the
-//! same matched-super-candidate list over and over. Each shard therefore
-//! caches `categorical tuple → matched plan list` and reuses the list for
-//! every later row with the same tuple, so the subset walk runs once per
-//! *distinct* tuple instead of once per row. The cache stops admitting
-//! new tuples past [`ScanOptions::memo_limit`], and gives up when the
-//! distinct-tuple count is high — after the first full block, if fewer
-//! than [`MEMO_TRIAL_FACTOR`] rows share each observed tuple on average,
-//! or at any block boundary where the cache is full and has never served
-//! a hit, the shard stops probing entirely so near-distinct tables pay at
-//! most one block's worth of cache overhead. Cached and direct walks
-//! produce the same list, so memoization never changes counts.
+//! [`ScanKernel::Direct`] is the Section 5.2 reference above, row at a
+//! time. [`ScanKernel::Bitmask`] removes the per-row control flow: for
+//! each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates every predicate
+//! over the whole block into `u64` bitsets — one equality mask per
+//! *distinct* categorical `(attribute, code)` pair (shared by all plans
+//! that test it, and filled by one pass over each categorical column),
+//! one branchless `lo <= code <= hi` range mask per member rectangle
+//! dimension — then ANDs masks together and popcounts, a shape the
+//! autovectorizer turns into SIMD compares. Per-block min/max
+//! summaries of each touched column pre-screen plans and members, and a
+//! mask word that has gone all-zero short-circuits the remaining ANDs.
 //!
-//! # The bitmask kernel
+//! The two costs grow with different things. The direct kernel pays a
+//! fixed walk per row plus one point count per *matched* plan, however
+//! many rectangles a plan holds (each shard reads its arrays and R*-trees
+//! out once, after its rows). The bitmask kernel pays per row for every
+//! member rectangle dimension. So a pass with few rectangles — the scan
+//! bench's historical shape — runs several times faster on bitmask,
+//! while a pass with hundreds of thousands of rectangles in a handful of
+//! plans — pass 3 of the credit workload — overruns a 2 s deadline on
+//! bitmask where direct scans it in about 20 ms (200k rows).
 //!
-//! Where memoization gives up — (near-)all-distinct categorical tuples —
-//! the remaining cost is per-row branching: the subset walk plus
-//! rectangle containment, row at a time. The bitmask kernel
-//! ([`crate::ScanKernel::Bitmask`]) removes the per-row control flow
-//! entirely: for each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates
-//! every predicate over the whole block into `u64` bitsets — one
-//! equality mask per *distinct* categorical `(attribute, code)` pair
-//! (shared by all plans that test it), one branchless
-//! `lo <= code <= hi` range mask per member rectangle dimension — then
-//! ANDs masks together and popcounts, a shape the autovectorizer turns
-//! into SIMD compares with no per-row branches. Per-block min/max
-//! summaries of each touched column pre-screen plans and members: a
-//! predicate code or rectangle that cannot intersect the block's value
-//! range skips the block without touching a single row, and a mask word
-//! that has gone all-zero short-circuits the remaining ANDs.
-//!
-//! Which kernel runs is [`ScanOptions::kernel`] (a
-//! [`crate::ScanKernel`]): `Direct` and `Memoized` are the row-wise
-//! walks above, `Bitmask` is the blocked kernel, and `Auto` (the
-//! default) starts memoized and lets the first-full-block trial decide —
-//! high tuple reuse keeps the cache, near-zero reuse switches the shard
-//! to the bitmask kernel for its remaining blocks. Every kernel produces
-//! **bit-identical counts** (enforced by unit tests, the
-//! `bitmask_scan_equals_direct_and_naive` proptest, and the fuzz
-//! oracle's `kernel` kind); the knob is pure performance, never
+//! Unless [`ScanOptions::kernel`] pins one, [`choose_kernel`] picks per
+//! pass, after the plans are built and before any row is read, from
+//! quantities the plans already expose: member rectangles × dimensions
+//! against super-candidates plus hash-tree nodes
+//! ([`BITMASK_WORK_PER_PLAN`] is the measured crossover). Every shard
+//! runs the chosen kernel, and [`PassStats::kernel`] reports it. Both
+//! kernels produce **bit-identical counts** (enforced by unit tests, the
+//! `bitmask_scan_equals_direct_and_naive` and
+//! `default_scan_equals_direct_and_naive` proptests, and the fuzz
+//! oracle's `kernel` kind); the choice is pure performance, never
 //! semantics.
 
 use crate::config::ScanKernel;
@@ -101,27 +92,17 @@ pub struct ScanCancelled;
 /// its range starts.
 pub const CANCEL_CHECK_INTERVAL: usize = 1024;
 
-/// Most distinct categorical tuples a shard's memo cache will admit.
-/// Past this the cache stops growing (existing entries still serve hits):
-/// a table whose tuples are mostly distinct gains nothing from
-/// memoization, so unbounded growth would only add hashing and memory on
-/// exactly the tables the optimization cannot help.
-pub const MEMO_MAX_DISTINCT: usize = 1 << 12;
-
-/// Minimum average rows-per-distinct-tuple the memo cache must observe in
-/// a shard's first full block to stay enabled. Below this the table is
-/// (nearly) all-distinct from the cache's point of view, every probe is a
-/// miss, and hashing the tuple per row is pure overhead — the shard drops
-/// the cache and runs the direct walk for its remaining rows. The trial
-/// only runs when the first block is full-size
-/// ([`CANCEL_CHECK_INTERVAL`] rows), so small tables and narrow shards —
-/// whose total cache cost is bounded anyway — are never kicked off the
-/// fast path by a noisy sample.
-pub const MEMO_TRIAL_FACTOR: usize = 2;
+/// The measured `Direct`/`Bitmask` crossover of [`choose_kernel`]: the
+/// bitmask kernel runs while a pass's member rectangle dimensions stay
+/// within this many per unit of direct-walk work (a super-candidate or a
+/// hash-tree node). The sweep in `BENCH_scan.json` puts the crossover
+/// between 2 (100 plans of one rectangle each still favour bitmask) and
+/// 11 (10 plans of 10 rectangles each favour direct).
+pub const BITMASK_WORK_PER_PLAN: usize = 4;
 
 /// Tuning knobs for one counting scan. [`ScanOptions::new`] gives the
-/// defaults every production path uses; the extra fields exist for the
-/// `--kernel` ablation, the fuzz oracle, and threshold unit tests.
+/// defaults every production path uses; `kernel` exists for the
+/// `--kernel` ablation and the fuzz oracle.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanOptions<'a> {
     /// Upper bound on data shards scanned in parallel (`<= 1` is serial).
@@ -132,14 +113,9 @@ pub struct ScanOptions<'a> {
     /// Worker pool to run shard tasks on; `None` uses the process-wide
     /// [`WorkerPool::global`].
     pub pool: Option<&'a WorkerPool>,
-    /// Which scan kernel runs the record loop (see module docs). Counts
-    /// are bit-identical for every variant.
-    pub kernel: ScanKernel,
-    /// Distinct-tuple cap of the memo cache, [`MEMO_MAX_DISTINCT`] unless
-    /// a test overrides it. Zero disables the cache (under
-    /// [`ScanKernel::Auto`] the shard then starts on the bitmask kernel
-    /// directly — there is nothing left to trial).
-    pub memo_limit: usize,
+    /// A pinned scan kernel; `None` lets [`choose_kernel`] pick per pass.
+    /// Counts are bit-identical either way.
+    pub kernel: Option<ScanKernel>,
 }
 
 impl<'a> ScanOptions<'a> {
@@ -149,9 +125,29 @@ impl<'a> ScanOptions<'a> {
             num_threads,
             cancel: None,
             pool: None,
-            kernel: ScanKernel::Auto,
-            memo_limit: MEMO_MAX_DISTINCT,
+            kernel: None,
         }
+    }
+}
+
+/// The pre-scan kernel rule: [`ScanKernel::Bitmask`] while the pass's
+/// `member_dims` (member rectangles × their dimensions, summed over
+/// super-candidates) stay within [`BITMASK_WORK_PER_PLAN`] per
+/// super-candidate or hash-tree node, [`ScanKernel::Direct`] beyond.
+/// The bitmask kernel evaluates every member dimension on every row; the
+/// direct kernel's per-row work is a hash-tree walk plus one point count
+/// per matched super-candidate, whatever its rectangle count. All three
+/// inputs are record-independent, so every shard agrees.
+pub fn choose_kernel(
+    member_dims: usize,
+    super_candidates: usize,
+    hash_tree_nodes: usize,
+) -> ScanKernel {
+    let walk = super_candidates.saturating_add(hash_tree_nodes);
+    if member_dims <= walk.saturating_mul(BITMASK_WORK_PER_PLAN) {
+        ScanKernel::Bitmask
+    } else {
+        ScanKernel::Direct
     }
 }
 
@@ -189,8 +185,8 @@ pub struct PassStats {
     /// Time spent summing per-shard counters into the final tallies
     /// (zero for a serial scan — there is nothing to merge).
     pub merge_time: Duration,
-    /// Total nodes across the pass's categorical hash trees (the shared
-    /// structure each shard clones; zero when every super-candidate is
+    /// Total nodes across the pass's categorical hash trees (shared
+    /// read-only by every shard; zero when every super-candidate is
     /// purely quantitative).
     pub hash_tree_nodes: usize,
     /// Estimated peak heap bytes of the pass's counting structures —
@@ -201,19 +197,9 @@ pub struct PassStats {
     /// True when the scan ran its shards on a worker pool (more than one
     /// shard); a serial scan never leaves the calling thread.
     pub pooled: bool,
-    /// True when the categorical-tuple memo cache was enabled for the
-    /// scan (it never changes counts — see module docs).
-    pub memoized: bool,
-    /// Distinct categorical tuples the memo caches admitted, summed over
-    /// shards. Zero when memoization was disabled or never engaged.
-    pub distinct_tuples: usize,
-    /// Rows whose matched-plan list was served from the memo cache,
-    /// summed over shards.
-    pub memo_hits: u64,
-    /// The scan kernel the pass resolved to: `"direct"`, `"memoized"`,
-    /// or `"bitmask"` when every shard agreed ([`crate::ScanKernel::Auto`]
-    /// resolves per shard), `"mixed"` when shards — or the physical
-    /// sub-scans of one logical pass — disagreed.
+    /// The scan kernel that counted the pass: `"direct"` or `"bitmask"`,
+    /// or `"mixed"` when the physical sub-scans of one logical pass used
+    /// different kernels.
     pub kernel: String,
 }
 
@@ -234,9 +220,6 @@ impl PassStats {
         // allocates, so the peak is the max, not the sum.
         self.counter_bytes = self.counter_bytes.max(other.counter_bytes);
         self.pooled |= other.pooled;
-        self.memoized |= other.memoized;
-        self.distinct_tuples += other.distinct_tuples;
-        self.memo_hits += other.memo_hits;
         if self.kernel.is_empty() {
             self.kernel = other.kernel.clone();
         } else if !other.kernel.is_empty() && self.kernel != other.kernel {
@@ -318,31 +301,14 @@ struct SuperPlan {
 
 /// One shard's private tallies, merged in shard order after the scan.
 struct ShardTally {
-    /// Per-plan rectangle counters (`None` for purely categorical plans,
-    /// and for every plan when the shard ran the bitmask kernel from row
-    /// zero — the bitmask path never builds them).
-    counters: Vec<Option<RectCounter>>,
-    /// Per-plan match counts for purely categorical plans (row-wise
-    /// increments and bitmask popcounts both land here).
-    direct: Vec<u64>,
-    /// Per-plan, per-member match counts from the bitmask kernel. All
-    /// zero when the shard never ran it; a shard that switched mid-scan
-    /// (`Auto`) holds its row-wise prefix in `counters` and the rest
-    /// here — the scatter sums both.
-    member_counts: Vec<Vec<u64>>,
+    /// Per plan, per member match counts (a purely categorical plan's
+    /// members all count the plan's matches).
+    counts: Vec<Vec<u64>>,
     /// Busy time of this shard's scan loop.
     scan_time: Duration,
     /// True when the scan stopped early on a fired [`CancelToken`] — the
     /// tallies are partial and must be discarded.
     cancelled: bool,
-    /// Distinct categorical tuples this shard's memo cache admitted.
-    distinct_tuples: usize,
-    /// Rows this shard served from the memo cache.
-    memo_hits: u64,
-    /// The kernel this shard resolved to — never [`ScanKernel::Auto`]
-    /// (`Auto` reports `Memoized` when the cache survived, `Bitmask`
-    /// when the trial switched the shard over).
-    kernel: ScanKernel,
 }
 
 /// Group candidates into super-candidate plans and decide each plan's
@@ -498,11 +464,16 @@ struct BitmaskScan<'t> {
     /// Deduped categorical equality predicates `(column slot, code)` —
     /// every plan testing the same `(attribute, code)` shares one mask.
     preds: Vec<(usize, u32)>,
-    /// Per-predicate equality masks over the current block.
+    /// Per-predicate equality masks over the current block, plus one
+    /// trailing sink mask that absorbs the codes no predicate tests.
     pred_masks: Vec<[u64; BLOCK_WORDS]>,
+    /// Per column slot: code → its predicate's index in `pred_masks`
+    /// (the sink for untested codes); empty for columns no categorical
+    /// predicate reads.
+    pred_of_code: Vec<Vec<u32>>,
     /// `true` when the predicate's code lies outside the block's
-    /// `[min, max]` — its mask was never computed and every plan using
-    /// it skips the block.
+    /// `[min, max]` — its mask is empty and every plan using it skips
+    /// the block.
     pred_dead: Vec<bool>,
     /// Per plan: indices into `preds`.
     plan_preds: Vec<Vec<usize>>,
@@ -551,28 +522,33 @@ impl<'t> BitmaskScan<'t> {
             );
         }
         let minmax = vec![(0, 0); cols.len()];
-        let pred_masks = vec![[0u64; BLOCK_WORDS]; preds.len()];
+        let pred_masks = vec![[0u64; BLOCK_WORDS]; preds.len() + 1];
         let pred_dead = vec![false; preds.len()];
+        let sink = preds.len() as u32;
+        let mut pred_of_code: Vec<Vec<u32>> = vec![Vec::new(); cols.len()];
+        for (&(attr, code), &p) in &pred_of {
+            let lookup = &mut pred_of_code[slot_of[&attr]];
+            let card = table.cardinality(AttributeId(attr as usize)) as usize;
+            let len = card.max(code as usize + 1);
+            if lookup.len() < len {
+                lookup.resize(len, sink);
+            }
+            lookup[code as usize] = p as u32;
+        }
         BitmaskScan {
             cols,
             minmax,
             preds,
             pred_masks,
+            pred_of_code,
             pred_dead,
             plan_preds,
             plan_dims,
         }
     }
 
-    /// Count one block of rows into `direct` (purely categorical plans)
-    /// and `member_counts` (per-member rectangle matches).
-    fn scan_block(
-        &mut self,
-        plans: &[SuperPlan],
-        rows: Range<usize>,
-        direct: &mut [u64],
-        member_counts: &mut [Vec<u64>],
-    ) {
+    /// Count one block of rows into `counts` (per plan, per member).
+    fn scan_block(&mut self, plans: &[SuperPlan], rows: Range<usize>, counts: &mut [Vec<u64>]) {
         let n = rows.len();
         let words = n.div_ceil(64);
 
@@ -587,27 +563,23 @@ impl<'t> BitmaskScan<'t> {
             *mm = (lo, hi);
         }
 
-        // Equality masks, once per distinct (attribute, code) predicate;
-        // codes outside the block's range are dead without touching rows.
-        for ((&(slot, code), dead), mask) in self
-            .preds
-            .iter()
-            .zip(&mut self.pred_dead)
-            .zip(&mut self.pred_masks)
-        {
-            let (lo, hi) = self.minmax[slot];
-            *dead = code < lo || code > hi;
-            if *dead {
+        // Equality masks for every predicate at once: one pass per
+        // categorical column sets each row's bit in its code's mask.
+        // Codes outside the block's range are dead and skip their plans.
+        for mask in &mut self.pred_masks {
+            mask[..words].fill(0);
+        }
+        for (slot, lookup) in self.pred_of_code.iter().enumerate() {
+            if lookup.is_empty() {
                 continue;
             }
-            let block = &self.cols[slot][rows.clone()];
-            for (w, chunk) in block.chunks(64).enumerate() {
-                let mut bits = 0u64;
-                for (i, &v) in chunk.iter().enumerate() {
-                    bits |= u64::from(v == code) << i;
-                }
-                mask[w] = bits;
+            for (i, &v) in self.cols[slot][rows.clone()].iter().enumerate() {
+                self.pred_masks[lookup[v as usize] as usize][i / 64] |= 1u64 << (i % 64);
             }
+        }
+        for (&(slot, code), dead) in self.preds.iter().zip(&mut self.pred_dead) {
+            let (lo, hi) = self.minmax[slot];
+            *dead = code < lo || code > hi;
         }
 
         let mut plan_mask = [0u64; BLOCK_WORDS];
@@ -629,10 +601,14 @@ impl<'t> BitmaskScan<'t> {
                 }
             }
 
-            // AND the plan's shared categorical masks (all-ones for a
-            // plan with no categorical part).
-            fill_ones(&mut plan_mask, n);
-            for &p in &self.plan_preds[pi] {
+            // AND the plan's shared categorical masks, starting from the
+            // first (all-ones for a plan with no categorical part).
+            let mut preds = self.plan_preds[pi].iter();
+            match preds.next() {
+                Some(&p) => plan_mask[..words].copy_from_slice(&self.pred_masks[p][..words]),
+                None => fill_ones(&mut plan_mask, n),
+            }
+            for &p in preds {
                 let mut any = 0u64;
                 for (m, &b) in plan_mask[..words]
                     .iter_mut()
@@ -646,14 +622,15 @@ impl<'t> BitmaskScan<'t> {
                 }
             }
             if dims.is_empty() {
-                direct[pi] += popcount(&plan_mask[..words]);
+                let matched = popcount(&plan_mask[..words]);
+                counts[pi].iter_mut().for_each(|c| *c += matched);
                 continue;
             }
 
             // Per member: start from the categorical mask and AND one
             // branchless range mask per dimension, skipping words already
             // all-zero and members whose rectangle misses the block.
-            'members: for (m, count) in member_counts[pi].iter_mut().enumerate() {
+            'members: for (m, count) in counts[pi].iter_mut().enumerate() {
                 member_mask[..words].copy_from_slice(&plan_mask[..words]);
                 for (d, &slot) in dims.iter().enumerate() {
                     let lo = plan.lo_cols[d][m];
@@ -686,61 +663,50 @@ impl<'t> BitmaskScan<'t> {
     }
 }
 
-/// The per-record counting loop over one contiguous row range. `trees` is
-/// shared read-only across shards (visit stamps live in this shard's
-/// private [`VisitScratch`]es); the returned tally holds this shard's
-/// private counters.
-///
-/// The scan is *blocked columnar*: all column slices are hoisted out of
-/// the row loop (one `table.codes(..)` call per column per shard, not per
-/// row), and rows are processed in [`CANCEL_CHECK_INTERVAL`]-sized blocks
-/// with the cancellation checkpoint at each block boundary — relative to
-/// the rows this shard has scanned, so a shard starting mid-interval
-/// still checks after at most one block. Each block runs either the
-/// row-wise walk (with or without the memo cache) or the bitmask kernel,
-/// per `kernel`; under [`ScanKernel::Auto`] the shard starts memoized
-/// and the trial fallback switches it to the bitmask kernel mid-scan.
-#[allow(clippy::too_many_arguments)]
-fn scan_shard(
+/// Run `scan` over `rows` in [`CANCEL_CHECK_INTERVAL`]-row blocks,
+/// checking `cancel` before each — relative to the rows this shard has
+/// scanned, so a shard starting mid-interval still checks after at most
+/// one block. Returns true when the token fired.
+fn for_each_block(
+    rows: Range<usize>,
+    cancel: Option<&CancelToken>,
+    mut scan: impl FnMut(Range<usize>),
+) -> bool {
+    let mut block_start = rows.start;
+    while block_start < rows.end {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return true;
+        }
+        let block_end = rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
+        scan(block_start..block_end);
+        block_start = block_end;
+    }
+    false
+}
+
+/// The direct kernel over one contiguous row range: per row, the
+/// hash-tree subset walk (trees shared read-only across shards, visit
+/// stamps in this shard's private [`VisitScratch`]es), then a point count
+/// into each matched plan's private rectangle counter, read out into
+/// `counts` after the scan. Column slices are hoisted out of the row
+/// loop (one `table.codes(..)` call per column per shard, not per row).
+/// Returns true when the token fired.
+fn scan_direct(
     table: &EncodedTable,
     plans: &[SuperPlan],
     always: &[u32],
     trees: &BTreeMap<usize, HashTree<u32>>,
     rows: Range<usize>,
     cancel: Option<&CancelToken>,
-    kernel: ScanKernel,
-    memo_limit: usize,
-) -> ShardTally {
-    let started = Instant::now();
-    let mut was_cancelled = false;
-    // The bitmask kernel never touches rectangle counters — skipping
-    // their construction is part of its win. `Auto` must build them: the
-    // memoized prefix before a mid-scan switch counts into them.
-    let mut counters: Vec<Option<RectCounter>> = if kernel == ScanKernel::Bitmask {
-        plans.iter().map(|_| None).collect()
-    } else {
-        plans
-            .iter()
-            .map(|plan| {
-                plan.kind.map(|kind| {
-                    RectCounter::build_shared(kind, &plan.dims, Arc::clone(&plan.rects))
-                })
-            })
-            .collect()
-    };
-    let mut direct = vec![0u64; plans.len()];
-    let mut member_counts: Vec<Vec<u64>> = plans
+    counts: &mut [Vec<u64>],
+) -> bool {
+    let mut counters: Vec<Option<RectCounter>> = plans
         .iter()
-        .map(|plan| vec![0u64; plan.members.len()])
+        .map(|plan| {
+            plan.kind
+                .map(|kind| RectCounter::build_shared(kind, &plan.dims, Arc::clone(&plan.rects)))
+        })
         .collect();
-    // Start on the bitmask kernel outright when asked to, or when `Auto`
-    // has no memo cache to trial.
-    let mut on_bitmask =
-        kernel == ScanKernel::Bitmask || (kernel == ScanKernel::Auto && memo_limit == 0);
-    let mut bitmask: Option<BitmaskScan<'_>> = None;
-
-    // Hoisted column slices: categorical columns once for the tuple key,
-    // and each plan's quantitative columns once for the point lookup.
     let cat_cols: Vec<(u32, &[u32])> = table
         .schema()
         .categorical_ids()
@@ -757,131 +723,87 @@ fn scan_shard(
         })
         .collect();
     let mut scratches: Vec<VisitScratch> = trees.values().map(|_| VisitScratch::new()).collect();
-
-    // The cache can be dropped mid-scan by the distinct-tuple fallback, so
-    // the admitted-tuple high-water mark is tracked outside the map.
-    let mut memo: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
-    let mut memo_on = matches!(kernel, ScanKernel::Memoized | ScanKernel::Auto) && memo_limit > 0;
-    let mut distinct_high = 0usize;
-    let mut memo_hits = 0u64;
-    let mut scanned = 0usize;
     let mut cat_buf: Vec<u64> = Vec::with_capacity(cat_cols.len());
-    let mut matched_buf: Vec<u32> = Vec::new();
+    let mut matched: Vec<u32> = Vec::new();
     let mut point_buf: Vec<u32> = Vec::new();
 
-    let mut block_start = rows.start;
-    'scan: while block_start < rows.end {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            was_cancelled = true;
-            break 'scan;
-        }
-        let block_end = rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
-        if on_bitmask {
-            bitmask
-                .get_or_insert_with(|| BitmaskScan::new(table, plans))
-                .scan_block(
-                    plans,
-                    block_start..block_end,
-                    &mut direct,
-                    &mut member_counts,
-                );
-            block_start = block_end;
-            continue;
-        }
-        for row in block_start..block_end {
+    let cancelled = for_each_block(rows, cancel, |block| {
+        for row in block {
             cat_buf.clear();
             for &(attr, col) in &cat_cols {
                 cat_buf.push(cat_item_id(attr, col[row]));
             }
-            // Resolve this row's matched plans: from the memo cache when
-            // its tuple was seen before, otherwise via the subset walk
-            // (cached for later rows while the cache has room).
-            let mut count_matches = |matched: &[u32]| {
-                for &pi in matched {
-                    let pi = pi as usize;
-                    match &mut counters[pi] {
-                        Some(counter) => {
-                            point_buf.clear();
-                            for col in &plan_cols[pi] {
-                                point_buf.push(col[row]);
-                            }
-                            counter.count_record(&point_buf);
-                        }
-                        None => direct[pi] += 1,
-                    }
-                }
-            };
-            if memo_on {
-                if let Some(hit) = memo.get(&cat_buf) {
-                    memo_hits += 1;
-                    count_matches(hit);
-                    continue;
-                }
-            }
-            matched_buf.clear();
-            matched_buf.extend_from_slice(always);
+            matched.clear();
+            matched.extend_from_slice(always);
             for (tree, scratch) in trees.values().zip(&mut scratches) {
-                tree.for_each_subset_of_shared(scratch, &cat_buf, |_, &id| matched_buf.push(id));
+                tree.for_each_subset_of_shared(scratch, &cat_buf, |_, &id| matched.push(id));
             }
-            count_matches(&matched_buf);
-            if memo_on && memo.len() < memo_limit {
-                memo.insert(cat_buf.clone(), matched_buf.clone());
+            for &pi in &matched {
+                let pi = pi as usize;
+                match &mut counters[pi] {
+                    Some(counter) => {
+                        point_buf.clear();
+                        for col in &plan_cols[pi] {
+                            point_buf.push(col[row]);
+                        }
+                        counter.count_record(&point_buf);
+                    }
+                    None => counts[pi].iter_mut().for_each(|c| *c += 1),
+                }
             }
         }
-        scanned += block_end - block_start;
-        block_start = block_end;
-        // Distinct-tuple fallback (see module docs): give up on the cache
-        // when the first full block shows near-zero tuple reuse, or when
-        // the cache has filled without ever serving a hit. Dropping the
-        // cache only skips future probes — counts are unaffected. Under
-        // `Auto` the same signal switches the shard to the bitmask kernel
-        // (the cache just proved the table near-distinct — exactly the
-        // shape the bitmask kernel wins on); explicit `Memoized` keeps
-        // the row-wise walk, cache off.
-        if memo_on {
-            distinct_high = distinct_high.max(memo.len());
-            let trial_failed =
-                scanned == CANCEL_CHECK_INTERVAL && memo.len() * MEMO_TRIAL_FACTOR >= scanned;
-            let full_and_cold = memo.len() >= memo_limit && memo_hits == 0;
-            if trial_failed || full_and_cold {
-                memo_on = false;
-                memo = HashMap::new();
-                if kernel == ScanKernel::Auto {
-                    on_bitmask = true;
-                }
+    });
+    if !cancelled {
+        for (plan_counts, counter) in counts.iter_mut().zip(counters) {
+            if let Some(counter) = counter {
+                *plan_counts = counter.finish();
             }
         }
     }
-    let resolved = match kernel {
-        ScanKernel::Direct | ScanKernel::Memoized | ScanKernel::Bitmask => kernel,
-        ScanKernel::Auto => {
-            if on_bitmask {
-                ScanKernel::Bitmask
-            } else {
-                ScanKernel::Memoized
-            }
+    cancelled
+}
+
+/// Count one contiguous row range with `kernel` into fresh per-shard
+/// tallies.
+fn scan_shard(
+    table: &EncodedTable,
+    plans: &[SuperPlan],
+    always: &[u32],
+    trees: &BTreeMap<usize, HashTree<u32>>,
+    rows: Range<usize>,
+    cancel: Option<&CancelToken>,
+    kernel: ScanKernel,
+) -> ShardTally {
+    let started = Instant::now();
+    let mut counts: Vec<Vec<u64>> = plans
+        .iter()
+        .map(|plan| vec![0u64; plan.members.len()])
+        .collect();
+    let cancelled = match kernel {
+        ScanKernel::Direct => scan_direct(table, plans, always, trees, rows, cancel, &mut counts),
+        ScanKernel::Bitmask => {
+            let mut scan = BitmaskScan::new(table, plans);
+            for_each_block(rows, cancel, |block| {
+                scan.scan_block(plans, block, &mut counts)
+            })
         }
     };
     ShardTally {
-        counters,
-        direct,
-        member_counts,
+        counts,
         scan_time: started.elapsed(),
-        cancelled: was_cancelled,
-        distinct_tuples: distinct_high.max(memo.len()),
-        memo_hits,
-        kernel: resolved,
+        cancelled,
     }
 }
 
 /// Count the support of every candidate in one pass over `table`,
 /// scanning up to [`ScanOptions::num_threads`] contiguous row shards in
-/// parallel; see [`ScanOptions`] for the other knobs.
+/// parallel with the pinned kernel, or the one [`choose_kernel`] picks;
+/// see [`ScanOptions`] for the other knobs.
 ///
 /// `force_kind` pins the quantitative counting backend (for the ablation
 /// bench); `None` applies the paper's memory heuristic per
 /// super-candidate. Counts are bit-identical across every option
-/// combination — threads, pool, and memoization are performance choices,
+/// combination — threads, pool, and kernel are performance choices,
 /// never semantics.
 pub fn count_candidates_opts(
     table: &EncodedTable,
@@ -892,7 +814,11 @@ pub fn count_candidates_opts(
     let (plans, mut stats) = build_plans(table, candidates, force_kind);
     let (always, trees) = build_trees(&plans);
     stats.hash_tree_nodes = trees.values().map(HashTree::node_count).sum();
-    stats.memoized = matches!(opts.kernel, ScanKernel::Memoized | ScanKernel::Auto);
+    let kernel = opts.kernel.unwrap_or_else(|| {
+        let member_dims = plans.iter().map(|p| p.members.len() * p.dims.len()).sum();
+        choose_kernel(member_dims, stats.super_candidates, stats.hash_tree_nodes)
+    });
+    stats.kernel = kernel.name().to_string();
     let num_rows = table.num_rows();
     let bounds = shard_bounds(num_rows, opts.num_threads);
     stats.counter_bytes = stats.counter_bytes.saturating_mul(bounds.len());
@@ -900,38 +826,18 @@ pub fn count_candidates_opts(
     let cancel = opts.cancel;
 
     let scan_started = Instant::now();
+    let (plans_ref, always_ref, trees_ref) = (&plans, &always, &trees);
+    let scan = move |range| {
+        scan_shard(
+            table, plans_ref, always_ref, trees_ref, range, cancel, kernel,
+        )
+    };
     let mut tallies: Vec<ShardTally> = if bounds.len() <= 1 {
-        let range = bounds.into_iter().next().unwrap_or(0..0);
-        vec![scan_shard(
-            table,
-            &plans,
-            &always,
-            &trees,
-            range,
-            cancel,
-            opts.kernel,
-            opts.memo_limit,
-        )]
+        vec![scan(bounds.into_iter().next().unwrap_or(0..0))]
     } else {
-        let plans_ref = &plans;
-        let always_ref = &always;
-        let trees_ref = &trees;
         let tasks: Vec<_> = bounds
             .into_iter()
-            .map(|range| {
-                move || {
-                    scan_shard(
-                        table,
-                        plans_ref,
-                        always_ref,
-                        trees_ref,
-                        range,
-                        cancel,
-                        opts.kernel,
-                        opts.memo_limit,
-                    )
-                }
-            })
+            .map(|range| move || scan(range))
             .collect();
         run_sharded(opts.pool, tasks)
     };
@@ -940,37 +846,13 @@ pub fn count_candidates_opts(
     }
     stats.scan_time = scan_started.elapsed();
     stats.shard_scan_times = tallies.iter().map(|t| t.scan_time).collect();
-    stats.distinct_tuples = tallies.iter().map(|t| t.distinct_tuples).sum();
-    stats.memo_hits = tallies.iter().map(|t| t.memo_hits).sum();
-    // `Auto` resolves per shard; shards that disagree report "mixed".
-    let first_kernel = tallies[0].kernel;
-    stats.kernel = if tallies.iter().all(|t| t.kernel == first_kernel) {
-        first_kernel.name().to_string()
-    } else {
-        "mixed".to_string()
-    };
 
     // Merge per-shard tallies in shard order (u64 sums: order-independent,
-    // fixed anyway for determinism of the timing bookkeeping). A shard may
-    // carry a rectangle counter, bitmask member counts, or (after an
-    // `Auto` mid-scan switch) both — one-sided counters are adopted.
+    // fixed anyway for determinism of the timing bookkeeping).
     let merge_started = Instant::now();
-    let mut merged = tallies.remove(0);
+    let mut merged = tallies.remove(0).counts;
     for tally in tallies {
-        for (into, from) in merged.counters.iter_mut().zip(tally.counters) {
-            match (into.take(), from) {
-                (Some(mut a), Some(b)) => {
-                    a.merge_from(b);
-                    *into = Some(a);
-                }
-                (Some(a), None) => *into = Some(a),
-                (None, b) => *into = b,
-            }
-        }
-        for (into, from) in merged.direct.iter_mut().zip(tally.direct) {
-            *into += from;
-        }
-        for (into, from) in merged.member_counts.iter_mut().zip(tally.member_counts) {
+        for (into, from) in merged.iter_mut().zip(tally.counts) {
             for (a, b) in into.iter_mut().zip(from) {
                 *a += b;
             }
@@ -980,38 +862,11 @@ pub fn count_candidates_opts(
         stats.merge_time = merge_started.elapsed();
     }
 
-    // Scatter per-rectangle counts back to candidate order: the row-wise
-    // counter's tally (when one ran) plus the bitmask member counts.
+    // Scatter per-member counts back to candidate order.
     let mut counts = vec![0u64; candidates.len()];
-    let ShardTally {
-        counters,
-        direct,
-        member_counts,
-        ..
-    } = merged;
-    for (((plan, counter), direct), bm_counts) in
-        plans.iter().zip(counters).zip(direct).zip(member_counts)
-    {
-        match counter {
-            Some(counter) => {
-                for ((member, count), bm) in
-                    plan.members.iter().zip(counter.finish()).zip(bm_counts)
-                {
-                    counts[*member] = count + bm;
-                }
-            }
-            None if plan.kind.is_some() => {
-                // Every shard ran the bitmask kernel from row zero: no
-                // rectangle counter was ever built.
-                for (member, bm) in plan.members.iter().zip(bm_counts) {
-                    counts[*member] = bm;
-                }
-            }
-            None => {
-                for &member in &plan.members {
-                    counts[member] = direct;
-                }
-            }
+    for (plan, plan_counts) in plans.iter().zip(merged) {
+        for (&member, count) in plan.members.iter().zip(plan_counts) {
+            counts[member] = count;
         }
     }
     Ok((counts, stats))
@@ -1137,9 +992,9 @@ impl PairGrid {
 /// Attribute pairs are scanned in groups whose arrays fit `cell_budget`
 /// cells; a pair whose full code domain alone exceeds it falls back to
 /// explicit enumeration with the R*-tree backend. The dense 2-D scan has
-/// no hash-tree walk, so [`ScanOptions::kernel`] only reaches the
-/// fallback pairs (the array scan itself reports as the `"direct"`
-/// kernel).
+/// no hash-tree walk, so [`ScanOptions::kernel`] and the kernel rule only
+/// reach the fallback pairs (the array scan itself reports as the
+/// `"direct"` kernel).
 ///
 /// Like [`count_candidates_opts`], the record scans split into up to
 /// `num_threads` contiguous row shards on the pool whose 2-D arrays are
@@ -1198,9 +1053,9 @@ pub(crate) fn scan_pairs(
     stats.array_backed = array_pairs.len();
     stats.rtree_backed = fallback_pairs.len();
     if !array_pairs.is_empty() {
-        // The dense 2-D scan is a plain per-row increment: no memo cache,
-        // no bitmask — report it as the direct kernel (fallback groups
-        // fold their own kernel in via `absorb_scan`).
+        // The dense 2-D scan is a plain per-row increment with no
+        // bitmask — report it as the direct kernel (fallback groups fold
+        // their own kernel in via `absorb_scan`).
         stats.kernel = ScanKernel::Direct.name().to_string();
     }
 
@@ -1238,20 +1093,13 @@ pub(crate) fn scan_pairs(
                     )
                 })
                 .collect();
-            let mut block_start = rows.start;
-            while block_start < rows.end {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return true;
-                }
-                let block_end = rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
-                for row in block_start..block_end {
+            for_each_block(rows, cancel, |block| {
+                for row in block {
                     for (ci, &(col_a, col_b)) in cols.iter().enumerate() {
                         counters[ci].increment(&[col_a[row], col_b[row]]);
                     }
                 }
-                block_start = block_end;
-            }
-            false
+            })
         };
 
         let bounds = shard_bounds(num_rows, num_threads);
@@ -1642,177 +1490,67 @@ mod tests {
         cands
     }
 
-    /// Every kernel is bit-identical to the naive reference, for every
-    /// thread count, and reports itself in [`PassStats::kernel`].
+    /// Every kernel — pinned or picked by the rule — is bit-identical to
+    /// the naive reference, for every thread count, and reports itself
+    /// in [`PassStats::kernel`].
     #[test]
     fn every_kernel_equals_naive_for_all_thread_counts() {
         let enc = duplicate_heavy();
         let cands = duplicate_heavy_candidates();
         let naive = count_candidates_naive(&enc, &cands);
         for threads in [1, 2, 4, 7] {
-            for kernel in [
-                ScanKernel::Direct,
-                ScanKernel::Memoized,
-                ScanKernel::Bitmask,
-                ScanKernel::Auto,
-            ] {
+            for kernel in [None, Some(ScanKernel::Direct), Some(ScanKernel::Bitmask)] {
                 let opts = ScanOptions {
                     kernel,
                     ..ScanOptions::new(threads)
                 };
                 let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-                assert_eq!(counts, naive, "threads={threads} kernel={kernel}");
-                let cache_on = matches!(kernel, ScanKernel::Memoized | ScanKernel::Auto);
-                assert_eq!(stats.memoized, cache_on);
-                if cache_on {
-                    // 6 distinct (c0, c1) tuples; every shard sees at most 6,
-                    // and on this tiny table the trial never fires — `Auto`
-                    // stays memoized.
-                    assert_eq!(stats.kernel, "memoized");
-                    assert!(stats.distinct_tuples >= 6, "{}", stats.distinct_tuples);
-                    assert!(stats.distinct_tuples <= 6 * stats.num_shards());
-                    assert!(stats.memo_hits > 0, "60 rows over 6 tuples must hit");
-                } else {
-                    assert_eq!(stats.kernel, kernel.name());
-                    assert_eq!(stats.distinct_tuples, 0);
-                    assert_eq!(stats.memo_hits, 0);
-                }
+                assert_eq!(counts, naive, "threads={threads} kernel={kernel:?}");
+                // 14 candidates with at most one dimension each: the rule
+                // picks bitmask.
+                let want = kernel.unwrap_or(ScanKernel::Bitmask);
+                assert_eq!(stats.kernel, want.name(), "threads={threads}");
             }
         }
     }
 
-    /// The cache stops admitting tuples at `memo_limit`, keeps serving the
-    /// admitted ones, and counts stay exact through the fallback.
+    /// The rule sends few rectangles to the bitmask kernel and many to
+    /// the direct kernel: the scan bench's historical shape (92 mostly
+    /// categorical candidates in 84 super-candidates, 27 hash-tree nodes)
+    /// against pass 3 of the credit workload at minsup 30% / maxsup 60%
+    /// (379,668 three-dimensional rectangles in 10 purely quantitative
+    /// super-candidates).
     #[test]
-    fn memo_limit_caps_cache_and_preserves_counts() {
-        let enc = duplicate_heavy();
-        let cands = duplicate_heavy_candidates();
-        let naive = count_candidates_naive(&enc, &cands);
-        // 6 distinct tuples; a limit of 2 forces the direct walk for the
-        // other 4 tuples' rows.
-        let opts = ScanOptions {
-            kernel: ScanKernel::Memoized,
-            memo_limit: 2,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.distinct_tuples, 2, "cache admits exactly the cap");
-        // The two admitted tuples each cover 10 of 60 rows; all but their
-        // first occurrences are hits.
-        assert_eq!(stats.memo_hits, 18);
-        // A zero limit disables caching entirely without changing counts;
-        // explicit `Memoized` stays on the row-wise walk...
-        let opts = ScanOptions {
-            kernel: ScanKernel::Memoized,
-            memo_limit: 0,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "memoized");
-        assert_eq!(stats.distinct_tuples, 0);
-        assert_eq!(stats.memo_hits, 0);
-        // ...while `Auto` with nothing to trial goes straight to bitmask.
-        let opts = ScanOptions {
-            memo_limit: 0,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "bitmask");
-        assert_eq!(stats.distinct_tuples, 0);
-        assert_eq!(stats.memo_hits, 0);
-    }
+    fn kernel_rule_separates_bench_and_credit_shapes() {
+        assert_eq!(choose_kernel(12, 84, 27), ScanKernel::Bitmask);
+        assert_eq!(choose_kernel(3 * 379_668, 10, 0), ScanKernel::Direct);
+        // Degenerate passes (no plan, no rectangle) take the bitmask path.
+        assert_eq!(choose_kernel(0, 0, 0), ScanKernel::Bitmask);
 
-    /// The distinct-tuple fallback: on an all-distinct table the shard
-    /// stops probing the cache at the first full-block boundary — hits
-    /// stay at zero, the admitted high-water mark is exactly one block's
-    /// worth of tuples, and counts are untouched.
-    #[test]
-    fn distinct_tuple_fallback_disables_cache() {
-        let schema = Schema::builder()
-            .categorical("c0")
-            .categorical("c1")
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        // 41 × 43 coprime cardinalities: every tuple distinct up to 1763.
-        for i in 0..1600usize {
-            t.push_row(&[
-                Value::from(format!("v{}", i % 41)),
-                Value::from(format!("v{}", (i / 41) % 43)),
-            ])
-            .unwrap();
+        // End to end: a handful of plans holding thousands of rectangles
+        // each resolves to direct, with counts unchanged.
+        let (enc, _) = mixed_wide();
+        let mut cands: Vec<Itemset> = Vec::new();
+        for c in 0..7u32 {
+            for lo in 0..40u32 {
+                for hi in (lo..97).step_by(3) {
+                    cands.push(
+                        vec![
+                            Item::value(0, c),
+                            Item::range(1, lo, hi),
+                            Item::range(2, lo % 53, 52),
+                        ]
+                        .into_iter()
+                        .collect(),
+                    );
+                }
+            }
         }
-        let enc = EncodedTable::encode_full_resolution(&t).unwrap();
-        let cands: Vec<Itemset> = (0..3u32)
-            .map(|c| {
-                vec![Item::value(0, c), Item::value(1, c)]
-                    .into_iter()
-                    .collect()
-            })
-            .collect();
-        let naive = count_candidates_naive(&enc, &cands);
         let (counts, stats) =
-            count_candidates_opts(&enc, &cands, None, ScanOptions::new(1)).unwrap();
-        assert_eq!(counts, naive);
-        assert!(stats.memoized);
-        assert_eq!(stats.memo_hits, 0, "all-distinct tuples never hit");
-        assert_eq!(
-            stats.distinct_tuples, CANCEL_CHECK_INTERVAL,
-            "cache dropped at the first block boundary"
-        );
-        // `Auto` turns the failed trial into a mid-scan kernel switch: the
-        // remaining 576 rows run the bitmask kernel (and still count
-        // identically — asserted against naive above).
-        assert_eq!(stats.kernel, "bitmask");
-        // Explicit `Memoized` keeps the row-wise walk after the same
-        // fallback and reports itself unchanged.
-        let opts = ScanOptions {
-            kernel: ScanKernel::Memoized,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "memoized");
-        assert_eq!(stats.distinct_tuples, CANCEL_CHECK_INTERVAL);
-    }
-
-    /// The trial keeps the cache for a long duplicate-heavy table: 6
-    /// tuples over 1600 rows easily clear the reuse bar, so every row
-    /// after the first occurrences is a hit.
-    #[test]
-    fn trial_keeps_cache_on_duplicate_heavy_tables() {
-        let schema = Schema::builder()
-            .categorical("c0")
-            .categorical("c1")
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        for i in 0..1600usize {
-            t.push_row(&[
-                Value::from(["a", "b"][i % 2]),
-                Value::from(["u", "v", "w"][i % 3]),
-            ])
-            .unwrap();
-        }
-        let enc = EncodedTable::encode_full_resolution(&t).unwrap();
-        let cands: Vec<Itemset> = vec![
-            vec![Item::value(0, 0), Item::value(1, 0)]
-                .into_iter()
-                .collect(),
-            vec![Item::value(0, 1), Item::value(1, 2)]
-                .into_iter()
-                .collect(),
-        ];
-        let naive = count_candidates_naive(&enc, &cands);
-        let (counts, stats) =
-            count_candidates_opts(&enc, &cands, None, ScanOptions::new(1)).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "memoized", "trial keeps Auto on the cache");
-        assert_eq!(stats.distinct_tuples, 6);
-        assert_eq!(stats.memo_hits, 1600 - 6, "every repeat row hits");
+            count_candidates_opts(&enc, &cands, None, ScanOptions::new(2)).unwrap();
+        assert_eq!(stats.super_candidates, 7);
+        assert_eq!(stats.kernel, "direct");
+        assert_eq!(counts, count_candidates_naive(&enc, &cands));
     }
 
     /// A wide mixed table exercising the bitmask kernel's edge geometry:
@@ -1889,20 +1627,19 @@ mod tests {
         let (enc, cands) = mixed_wide();
         let naive = count_candidates_naive(&enc, &cands);
         let direct_opts = ScanOptions {
-            kernel: ScanKernel::Direct,
+            kernel: Some(ScanKernel::Direct),
             ..ScanOptions::new(1)
         };
         let (direct, _) = count_candidates_opts(&enc, &cands, None, direct_opts).unwrap();
         assert_eq!(direct, naive);
         for threads in [1, 2, 3, 8] {
             let opts = ScanOptions {
-                kernel: ScanKernel::Bitmask,
+                kernel: Some(ScanKernel::Bitmask),
                 ..ScanOptions::new(threads)
             };
             let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
             assert_eq!(counts, naive, "threads={threads}");
             assert_eq!(stats.kernel, "bitmask");
-            assert!(!stats.memoized);
         }
     }
 

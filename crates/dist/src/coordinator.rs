@@ -584,8 +584,8 @@ impl<'a> DistSource<'a> {
     /// counts one row block for the answer from entry `from` on.
     ///
     /// The scan time is the coordinator-measured round time. `kernel` is
-    /// the workers' (`qar mine --workers` pins them to the configured
-    /// one); `Auto` resolves per worker shard unseen, so it reads
+    /// the workers' pin (`qar mine --workers` forwards the configured
+    /// one); unpinned, each worker picks its own unseen, so it reads
     /// `"mixed"`.
     fn round(
         &mut self,
@@ -593,7 +593,7 @@ impl<'a> DistSource<'a> {
         windows: &[(usize, usize)],
         request: impl Fn(usize, usize) -> DistRequest,
         recount: impl Fn(&EncodedTable, usize) -> Result<Vec<u64>, ScanCancelled>,
-        kernel: ScanKernel,
+        kernel: Option<ScanKernel>,
     ) -> Result<Counted, CountError> {
         let started = Instant::now();
         let mut result = vec![0u64; windows.last().map_or(0, |w| w.1)];
@@ -650,10 +650,7 @@ impl<'a> DistSource<'a> {
         });
         let stats = PassStats {
             scan_time: started.elapsed(),
-            kernel: match kernel {
-                ScanKernel::Auto => "mixed".to_string(),
-                pinned => pinned.name().to_string(),
-            },
+            kernel: kernel.map_or("mixed", ScanKernel::name).to_string(),
             ..PassStats::default()
         };
         Ok((result, stats))
@@ -808,7 +805,7 @@ impl CountSource for DistSource<'_> {
                 Ok(counts[from..].to_vec())
             },
             // The workers' pair arrays are plain per-row increments.
-            ScanKernel::Direct,
+            Some(ScanKernel::Direct),
         )
     }
 

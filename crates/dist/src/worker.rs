@@ -25,22 +25,14 @@ use std::net::TcpStream;
 
 /// Tuning knobs for a worker's counting scans. They affect speed only —
 /// counts are exact under every kernel and thread count.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerOptions {
     /// Threads per counting scan; `0` picks the machine default (the
     /// same resolution [`MinerConfig::effective_parallelism`] applies).
     pub num_threads: usize,
-    /// Scan kernel for candidate counting.
-    pub kernel: ScanKernel,
-}
-
-impl Default for WorkerOptions {
-    fn default() -> Self {
-        WorkerOptions {
-            num_threads: 0,
-            kernel: ScanKernel::Auto,
-        }
-    }
+    /// Pinned scan kernel for candidate counting (`None`: each pass
+    /// picks its own).
+    pub kernel: Option<ScanKernel>,
 }
 
 impl WorkerOptions {

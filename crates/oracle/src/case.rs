@@ -18,12 +18,11 @@ pub enum ReproCase {
     Snap(SnapCase),
     /// Interval-count invariant case for [`qar_partition::num_intervals`].
     Intervals(IntervalsCase),
-    /// Memoized-scan case: a duplicate-heavy categorical table mined with
-    /// the tuple cache + worker pool on, cross-checked against the
-    /// direct serial scan.
-    Memo(MiningCase),
-    /// Bitmask-kernel case: boundary-skewed codes and degenerate (lo==hi)
-    /// ranges mined with the blocked bitmask kernel, serial and pooled,
+    /// Scan-kernel case: duplicate-heavy categorical tables,
+    /// boundary-skewed codes with degenerate (lo==hi) ranges, and wide
+    /// quantitative domains whose passes hold enough rectangles to cross
+    /// the kernel rule's threshold — mined with the default kernel rule,
+    /// pinned `Direct` and pinned `Bitmask`, serial and pooled, each
     /// cross-checked against the direct serial scan.
     Kernel(MiningCase),
     /// Rule-analytics case: a mined ruleset's lift / conviction /
@@ -55,7 +54,6 @@ impl ReproCase {
             ReproCase::Partition(_) => "partition",
             ReproCase::Snap(_) => "snap",
             ReproCase::Intervals(_) => "intervals",
-            ReproCase::Memo(_) => "memo",
             ReproCase::Kernel(_) => "kernel",
             ReproCase::Analytics(_) => "analytics",
             ReproCase::Distributed(_) => "distributed",

@@ -61,7 +61,6 @@ pub fn check_case(case: &ReproCase) -> Result<(), Divergence> {
         ReproCase::Partition(c) => check_partition(c),
         ReproCase::Snap(c) => check_snap(c),
         ReproCase::Intervals(c) => check_intervals(c),
-        ReproCase::Memo(c) => check_memo(c),
         ReproCase::Kernel(c) => check_kernel(c),
         ReproCase::Analytics(c) => check_analytics(c),
         ReproCase::Distributed(c) => check_distributed(c),
@@ -75,45 +74,41 @@ fn with_parallelism(config: &MinerConfig, threads: usize) -> MinerConfig {
     c
 }
 
-/// Memoized-scan oracle: the pooled scan with the categorical-tuple
-/// cache on must agree bit-for-bit with the direct serial scan (cache
-/// off), and the cache must also be thread-count-independent (memoized
-/// serial agrees too). Generated tables are duplicate-heavy, so the
-/// cache's hit path actually executes.
-pub fn check_memo(case: &MiningCase) -> Result<(), Divergence> {
-    let mut direct_cfg = with_parallelism(&case.config, 1);
-    direct_cfg.kernel = ScanKernel::Direct;
-    let mut memo_par_cfg = with_parallelism(&case.config, case.threads.max(2));
-    memo_par_cfg.kernel = ScanKernel::Memoized;
-    let mut memo_ser_cfg = with_parallelism(&case.config, 1);
-    memo_ser_cfg.kernel = ScanKernel::Memoized;
-
-    let direct = Miner::new(direct_cfg).mine(&case.table);
-    let memo_par = Miner::new(memo_par_cfg).mine(&case.table);
-    let memo_ser = Miner::new(memo_ser_cfg).mine(&case.table);
-    compare_paths("memo-parallel-vs-direct", &direct, &memo_par)?;
-    compare_paths("memo-serial-vs-direct", &direct, &memo_ser)
-}
-
-/// Bitmask-kernel oracle: the blocked bitmask scan must agree
-/// bit-for-bit with the direct serial scan, both on one thread (same
-/// shard boundaries, different counting loop) and pooled (different
-/// shard boundaries too). Generated tables skew codes to the domain
-/// boundaries and include constant columns, so the kernel's tail masks,
-/// `lo == hi` range rows, and block pre-screening all execute.
+/// Scan-kernel oracle: the default kernel rule, pinned `Direct` and
+/// pinned `Bitmask` must each agree bit-for-bit with the direct serial
+/// scan, on one thread (same shard boundaries, different counting loop)
+/// and pooled (different shard boundaries too). Generated tables are
+/// duplicate-heavy, skew codes to the domain boundaries, or hold enough
+/// rectangles per pass to put the rule on the direct side, so the
+/// kernel's tail masks, `lo == hi` range rows, block pre-screening and
+/// both sides of the rule all execute.
 pub fn check_kernel(case: &MiningCase) -> Result<(), Divergence> {
-    let mut direct_cfg = with_parallelism(&case.config, 1);
-    direct_cfg.kernel = ScanKernel::Direct;
-    let mut bitmask_ser_cfg = with_parallelism(&case.config, 1);
-    bitmask_ser_cfg.kernel = ScanKernel::Bitmask;
-    let mut bitmask_par_cfg = with_parallelism(&case.config, case.threads.max(2));
-    bitmask_par_cfg.kernel = ScanKernel::Bitmask;
-
-    let direct = Miner::new(direct_cfg).mine(&case.table);
-    let bitmask_ser = Miner::new(bitmask_ser_cfg).mine(&case.table);
-    let bitmask_par = Miner::new(bitmask_par_cfg).mine(&case.table);
-    compare_paths("bitmask-serial-vs-direct", &direct, &bitmask_ser)?;
-    compare_paths("bitmask-parallel-vs-direct", &direct, &bitmask_par)
+    let reference = {
+        let mut cfg = with_parallelism(&case.config, 1);
+        cfg.kernel = Some(ScanKernel::Direct);
+        Miner::new(cfg).mine(&case.table)
+    };
+    let parallel = case.threads.max(2);
+    for (check, kernel, threads) in [
+        ("default-serial-vs-direct", None, 1),
+        ("default-parallel-vs-direct", None, parallel),
+        (
+            "direct-parallel-vs-direct",
+            Some(ScanKernel::Direct),
+            parallel,
+        ),
+        ("bitmask-serial-vs-direct", Some(ScanKernel::Bitmask), 1),
+        (
+            "bitmask-parallel-vs-direct",
+            Some(ScanKernel::Bitmask),
+            parallel,
+        ),
+    ] {
+        let mut cfg = with_parallelism(&case.config, threads);
+        cfg.kernel = kernel;
+        compare_paths(check, &reference, &Miner::new(cfg).mine(&case.table))?;
+    }
+    Ok(())
 }
 
 /// Count-distribution oracle: the distributed coordinator over

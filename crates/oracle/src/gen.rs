@@ -11,15 +11,14 @@ use qar_table::{Schema, Table, Value};
 /// Draw one case. The mix favors end-to-end mining cases; the rest stress
 /// the partitioning and completeness primitives directly.
 pub fn gen_case(rng: &mut Prng) -> ReproCase {
-    match rng.gen_weighted(&[5.0, 2.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0]) {
+    match rng.gen_weighted(&[5.0, 2.0, 1.0, 1.0, 4.0, 2.0, 2.0, 2.0]) {
         0 => ReproCase::Mining(gen_mining(rng)),
         1 => ReproCase::Partition(gen_partition(rng)),
         2 => ReproCase::Snap(gen_snap(rng)),
         3 => ReproCase::Intervals(gen_intervals(rng)),
-        4 => ReproCase::Memo(gen_memo(rng)),
-        5 => ReproCase::Kernel(gen_kernel(rng)),
-        6 => ReproCase::Analytics(gen_analytics(rng)),
-        7 => ReproCase::Distributed(gen_distributed(rng)),
+        4 => ReproCase::Kernel(gen_kernel(rng)),
+        5 => ReproCase::Analytics(gen_analytics(rng)),
+        6 => ReproCase::Distributed(gen_distributed(rng)),
         _ => ReproCase::Incremental(gen_incremental(rng)),
     }
 }
@@ -218,12 +217,20 @@ fn gen_mining(rng: &mut Prng) -> MiningCase {
     }
 }
 
-/// A memoized-scan case: low-cardinality categorical attributes over
-/// enough rows that the per-shard tuple cache sees real duplication
-/// (every distinct tuple recurs many times), with a thread count that
-/// forces the pooled sharded path. The checker compares this against the
-/// direct (cache-off) serial scan.
-fn gen_memo(rng: &mut Prng) -> MiningCase {
+/// A scan-kernel case in one of three table shapes. The checker runs the
+/// default kernel rule and both pinned kernels, serial and pooled,
+/// against the direct serial scan.
+fn gen_kernel(rng: &mut Prng) -> MiningCase {
+    match rng.gen_weighted(&[2.0, 2.0, 1.0]) {
+        0 => gen_duplicate_heavy(rng),
+        1 => gen_boundary_skewed(rng),
+        _ => gen_rectangle_heavy(rng),
+    }
+}
+
+/// Low-cardinality categorical attributes over enough rows that every
+/// distinct tuple recurs many times.
+fn gen_duplicate_heavy(rng: &mut Prng) -> MiningCase {
     let num_rows = rng.gen_range(16..65);
     let num_cats = rng.gen_range(2..5usize);
     let with_quant = rng.gen_bool(0.4);
@@ -270,13 +277,12 @@ fn gen_memo(rng: &mut Prng) -> MiningCase {
     }
 }
 
-/// A bitmask-kernel case: codes skewed toward the domain boundaries
-/// (first/last encoded value), constant columns whose frequent ranges
-/// degenerate to `lo == hi`, and row counts straddling the kernel's
-/// 64-bit word and block edges — plus occasional empty tables and
-/// impossible supports so the plan list itself can be empty. The checker
-/// compares bitmask serial and bitmask pooled against direct serial.
-fn gen_kernel(rng: &mut Prng) -> MiningCase {
+/// Codes skewed toward the domain boundaries (first/last encoded value),
+/// constant columns whose frequent ranges degenerate to `lo == hi`, and
+/// row counts straddling the bitmask kernel's 64-bit word and block
+/// edges — plus occasional empty tables and impossible supports so the
+/// plan list itself can be empty.
+fn gen_boundary_skewed(rng: &mut Prng) -> MiningCase {
     // Word- and block-boundary row counts matter: the kernel's tail
     // masking and partial-block path only run when rows % 64 != 0.
     let num_rows = match rng.gen_weighted(&[1.0, 2.0, 3.0, 3.0, 3.0]) {
@@ -358,6 +364,48 @@ fn gen_kernel(rng: &mut Prng) -> MiningCase {
     }
 }
 
+/// Two uniform quantitative attributes over wide domains next to one
+/// small categorical attribute, mined unpartitioned with no upper support
+/// bound: pass 3 holds a few super-candidates (one per label) with
+/// hundreds to thousands of range rectangles each, which puts the kernel
+/// rule on the direct side.
+fn gen_rectangle_heavy(rng: &mut Prng) -> MiningCase {
+    let num_rows = rng.gen_range(64..200);
+    let schema = Schema::builder()
+        .quantitative("q0")
+        .quantitative("q1")
+        .categorical("c")
+        .build()
+        .expect("static names are valid");
+    let domain = rng.gen_range(6i64..13);
+    let labels = ["a", "b", "c"];
+    let card = rng.gen_range(1..4usize);
+    let mut table = Table::new(schema);
+    for _ in 0..num_rows {
+        table
+            .push_row(&[
+                Value::Float(rng.gen_range(0..domain) as f64),
+                Value::Float(rng.gen_range(0..domain) as f64),
+                Value::from(labels[rng.gen_range(0..card)]),
+            ])
+            .expect("cells match schema");
+    }
+    let config = MinerConfig {
+        min_support: *rng.choose(&[0.05, 0.1, 0.2]).expect("non-empty"),
+        min_confidence: 0.5,
+        max_support: 1.0,
+        partitioning: PartitionSpec::None,
+        interest: None,
+        max_itemset_size: 3,
+        ..MinerConfig::default()
+    };
+    MiningCase {
+        table,
+        config,
+        threads: rng.gen_range(2..9),
+    }
+}
+
 fn gen_partition(rng: &mut Prng) -> PartitionCase {
     let len = rng.gen_range(2..60usize);
     let values = gen_quant_column(rng, len);
@@ -424,5 +472,29 @@ fn gen_intervals(rng: &mut Prng) -> IntervalsCase {
         level: *rng
             .choose(&[0.5, 1.0, 1.0 + 1.0e-9, 1.0 + 1.0e-6, 1.5, 2.0, f64::NAN])
             .expect("non-empty"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qar_core::Miner;
+
+    /// Kernel cases land on both sides of the kernel rule: some pass ≥ 3
+    /// resolves to direct, some to bitmask.
+    #[test]
+    fn kernel_cases_straddle_the_kernel_rule() {
+        let mut rng = Prng::seed_from_u64(7);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..60 {
+            let case = gen_kernel(&mut rng);
+            if let Ok(out) = Miner::new(case.config).mine(&case.table) {
+                for stats in out.stats.mine.pass_stats.iter().skip(1) {
+                    seen.insert(stats.kernel.clone());
+                }
+            }
+        }
+        assert!(seen.contains("direct"), "{seen:?}");
+        assert!(seen.contains("bitmask"), "{seen:?}");
     }
 }

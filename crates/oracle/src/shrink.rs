@@ -54,10 +54,6 @@ fn candidates(case: &ReproCase) -> Vec<ReproCase> {
             .into_iter()
             .map(ReproCase::Mining)
             .collect(),
-        ReproCase::Memo(c) => mining_candidates(c)
-            .into_iter()
-            .map(ReproCase::Memo)
-            .collect(),
         ReproCase::Kernel(c) => mining_candidates(c)
             .into_iter()
             .map(ReproCase::Kernel)

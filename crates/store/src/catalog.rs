@@ -1293,7 +1293,7 @@ fn decode_stats(payload: &[u8]) -> Result<MiningStats, StoreError> {
         for _ in 0..shards {
             shard_scan_times.push(r.get_duration()?);
         }
-        // Pool/memoization stats are run-shape details the catalog does
+        // Pool and kernel stats are run-shape details the catalog does
         // not persist; they default on load.
         pass_stats.push(PassStats {
             super_candidates,

@@ -137,11 +137,7 @@ fn arb_stats(rng: &mut Prng, num_attrs: usize, num_rules: usize) -> MiningStats 
                         .map(|_| arb_duration(rng))
                         .collect(),
                     pooled: rng.gen_bool(0.5),
-                    memoized: rng.gen_bool(0.5),
-                    distinct_tuples: rng.gen_range(0..5000),
-                    memo_hits: rng.gen_range(0..100_000),
-                    kernel: ["direct", "memoized", "bitmask", "mixed"][rng.gen_range(0..4usize)]
-                        .to_string(),
+                    kernel: ["direct", "bitmask", "mixed"][rng.gen_range(0..3usize)].to_string(),
                 })
                 .collect(),
             interest_pruned_items: rng.gen_range(0..50),

@@ -74,17 +74,9 @@ pub enum TraceEvent {
         /// True when the scan ran its shards on the persistent worker
         /// pool (more than one shard); false for a serial scan.
         pooled: bool,
-        /// True when the categorical-tuple memo cache was enabled.
-        memoized: bool,
-        /// Distinct categorical tuples admitted to the memo caches,
-        /// summed over shards (0 when memoization was off).
-        distinct_tuples: usize,
-        /// Rows answered from a memo cache instead of a hash-tree walk,
-        /// summed over shards.
-        memo_hits: u64,
-        /// Scan kernel that counted the pass: `"direct"`, `"memoized"`, or
-        /// `"bitmask"` when every shard resolved the same way, `"mixed"`
-        /// otherwise.
+        /// Scan kernel that counted the pass: `"direct"` or `"bitmask"`,
+        /// or `"mixed"` when the sub-scans of one pass used different
+        /// kernels.
         kernel: String,
     },
     /// The run completed (all frequent itemsets found).
@@ -342,9 +334,6 @@ impl TraceEvent {
                 merge_us,
                 shard_scan_us,
                 pooled,
-                memoized,
-                distinct_tuples,
-                memo_hits,
                 kernel,
             } => {
                 let shards: Vec<String> =
@@ -356,9 +345,7 @@ impl TraceEvent {
                      \"rtree_backed\":{rtree_backed},\"hash_tree_nodes\":{hash_tree_nodes},\
                      \"counter_bytes\":{counter_bytes},\"scan_us\":{scan_us},\
                      \"merge_us\":{merge_us},\"shard_scan_us\":[{}],\
-                     \"pooled\":{pooled},\"memoized\":{memoized},\
-                     \"distinct_tuples\":{distinct_tuples},\"memo_hits\":{memo_hits},\
-                     \"kernel\":{}}}",
+                     \"pooled\":{pooled},\"kernel\":{}}}",
                     shards.join(","),
                     json_str(kernel)
                 )
@@ -549,9 +536,6 @@ impl fmt::Display for TraceEvent {
                 merge_us,
                 shard_scan_us,
                 pooled: _,
-                memoized,
-                distinct_tuples: _,
-                memo_hits,
                 kernel,
             } => {
                 write!(
@@ -582,9 +566,6 @@ impl fmt::Display for TraceEvent {
                 }
                 if *counter_bytes > 0 {
                     write!(f, " | counters ~{} KiB", counter_bytes / 1024)?;
-                }
-                if *memoized && *memo_hits > 0 {
-                    write!(f, " | memo hits {memo_hits}")?;
                 }
                 if !kernel.is_empty() {
                     write!(f, " | kernel {kernel}")?;
@@ -768,10 +749,7 @@ mod tests {
             merge_us: 20,
             shard_scan_us: vec![700, 750],
             pooled: true,
-            memoized: true,
-            distinct_tuples: 40,
-            memo_hits: 3800,
-            kernel: "memoized".to_string(),
+            kernel: "bitmask".to_string(),
         }
     }
 
@@ -922,12 +900,9 @@ mod tests {
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0].as_u64(), Some(700));
         assert_eq!(obj.get("pooled").unwrap().as_bool(), Some(true));
-        assert_eq!(obj.get("memoized").unwrap().as_bool(), Some(true));
-        assert_eq!(obj.get("distinct_tuples").unwrap().as_u64(), Some(40));
-        assert_eq!(obj.get("memo_hits").unwrap().as_u64(), Some(3800));
         assert_eq!(
             obj.get("kernel").unwrap().as_str(),
-            Some("memoized"),
+            Some("bitmask"),
             "pass_finished must carry the resolved scan kernel"
         );
     }
@@ -938,8 +913,7 @@ mod tests {
         assert!(text.contains("pass 2"), "{text}");
         assert!(text.contains("120 candidates"), "{text}");
         assert!(text.contains("2 shard(s)"), "{text}");
-        assert!(text.contains("memo hits 3800"), "{text}");
-        assert!(text.contains("kernel memoized"), "{text}");
+        assert!(text.contains("kernel bitmask"), "{text}");
         let cancelled = TraceEvent::Cancelled {
             pass: 4,
             deadline: false,

@@ -16,15 +16,10 @@ fn main() -> ExitCode {
             print!("{}", cli::USAGE);
             ExitCode::SUCCESS
         }
-        Ok(Command::Mine(mine)) => {
-            for warning in &mine.warnings {
-                eprintln!("qar: warning: {warning}");
-            }
-            match run_mine(&mine) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e.to_string()),
-            }
-        }
+        Ok(Command::Mine(mine)) => match run_mine(&mine) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => fail(&e.to_string()),
+        },
         Ok(Command::Generate(gen)) => match run_generate(&gen) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e.to_string()),

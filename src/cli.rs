@@ -72,8 +72,9 @@ pub struct WorkerArgs {
     pub connect: String,
     /// Threads per counting scan (0 = all cores).
     pub threads: usize,
-    /// Scan kernel for candidate counting.
-    pub kernel: ScanKernel,
+    /// Pinned scan kernel for candidate counting (`None`: each pass
+    /// picks its own).
+    pub kernel: Option<ScanKernel>,
 }
 
 /// Arguments of `qar bench-dist`.
@@ -149,9 +150,6 @@ pub struct MineArgs {
     /// semantic configuration are authoritative; the refreshed catalog is
     /// rewritten in place unless `--store` redirects it.
     pub update: Option<String>,
-    /// Deprecation warnings this command line earned; the binary prints
-    /// each to stderr before running.
-    pub warnings: Vec<String>,
 }
 
 /// Arguments of `qar trace-check`.
@@ -356,9 +354,10 @@ MINE OPTIONS:
   --interest-mode M     and | or                        [default or]
   --max-size K          cap itemset size (0 = unbounded)
   --threads N           counting worker threads (0 = all cores) [default 0]
-  --kernel K            support-counting scan kernel: auto | direct |
-                        memoized | bitmask              [default auto]
-  --no-memoize          deprecated alias for --kernel direct
+  --kernel K            pin the scan kernel: direct | bitmask (unpinned,
+                        each pass picks one from its super-candidates);
+                        a bitmask pin costs O(member rectangles x rows)
+                        per pass
   --top N               print at most N rules (0 = all) [default 50]
   --all-rules           print pruned rules too (with a * marker)
   --format F            text | csv | json               [default text]
@@ -459,9 +458,9 @@ TRACE-CHECK:
 FUZZ:
   Draws random tables and configurations (skewed toward boundary cases)
   and cross-checks every mining path — serial, parallel, the brute-force
-  reference, the apriori bridge, the catalog round trip, the memoized
-  scan cache on duplicate-heavy tables, and the bitmask scan kernel on
-  boundary-skewed tables — for agreement. On divergence the failing
+  reference, the apriori bridge, the catalog round trip, and both scan
+  kernels (pinned and by the default rule) on duplicate-heavy,
+  boundary-skewed and rectangle-heavy tables — for agreement. On divergence the failing
   case is shrunk to a minimal repro and written as a fixture under
   --out; the exit code is non-zero.
   --iters N             fuzz iterations                 [default 200]
@@ -491,8 +490,8 @@ WORKER:
   other machines or debug the protocol.
   --connect HOST:PORT   coordinator address (required)
   --threads N           threads per counting scan (0 = all cores)
-  --kernel K            scan kernel: auto | direct | memoized | bitmask
-                        [default auto]
+  --kernel K            pin the scan kernel: direct | bitmask
+                        [default: each pass picks one]
 
 BENCH-SERVE:
   Drives a mixed point/range/top-k/batch workload from concurrent client
@@ -588,7 +587,6 @@ fn parse_flag_map(args: &[String]) -> Result<BTreeMap<String, String>, CliError>
         // Boolean flags take no value.
         if key == "no-partition"
             || key == "all-rules"
-            || key == "no-memoize"
             || key == "shutdown"
             || key == "analytics"
             || key == "normalize-stats"
@@ -636,6 +634,16 @@ fn parse_opt_f64(map: &BTreeMap<String, String>, key: &str) -> Result<Option<f64
             .map(Some)
             .map_err(|_| err(format!("--{key}: `{v}` is not a number"))),
     }
+}
+
+/// The `--kernel` pin, if any (absent: each pass picks its own).
+fn parse_kernel(map: &BTreeMap<String, String>) -> Result<Option<ScanKernel>, CliError> {
+    map.get("kernel")
+        .map(|v| {
+            ScanKernel::parse(v)
+                .ok_or_else(|| err(format!("--kernel: `{v}` is not direct or bitmask")))
+        })
+        .transpose()
 }
 
 fn parse_usize(
@@ -720,7 +728,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                     "interest-mode",
                     "max-size",
                     "taxonomy",
-                    "no-memoize",
                 ] {
                     if map.contains_key(key) {
                         return Err(err(format!(
@@ -780,17 +787,7 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 interest,
                 max_itemset_size: parse_usize(&map, "max-size", 0)?,
                 parallelism: std::num::NonZeroUsize::new(parse_usize(&map, "threads", 0)?),
-                kernel: match map.get("kernel") {
-                    Some(v) => ScanKernel::parse(v).ok_or_else(|| {
-                        err(format!(
-                            "--kernel: `{v}` is not auto, direct, memoized, or bitmask"
-                        ))
-                    })?,
-                    // `--no-memoize` predates `--kernel`; keep it working as
-                    // an alias for the direct (uncached, unblocked) kernel.
-                    None if map.contains_key("no-memoize") => ScanKernel::Direct,
-                    None => ScanKernel::Auto,
-                },
+                kernel: parse_kernel(&map)?,
             };
             config.validate().map_err(|e| err(e.to_string()))?;
             let format = match map.get("format").map(String::as_str) {
@@ -849,13 +846,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                      so it needs a real --input file, not stdin",
                 ));
             }
-            let mut warnings = Vec::new();
-            if map.contains_key("no-memoize") {
-                warnings.push(
-                    "--no-memoize is deprecated and will be removed; use `--kernel direct` instead"
-                        .to_string(),
-                );
-            }
             Ok(Command::Mine(MineArgs {
                 input,
                 schema,
@@ -872,7 +862,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 chunk_rows,
                 normalize_stats: map.contains_key("normalize-stats"),
                 update,
-                warnings,
             }))
         }
         "worker" => {
@@ -886,18 +875,10 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 .get("connect")
                 .cloned()
                 .ok_or_else(|| err("worker requires --connect HOST:PORT"))?;
-            let kernel = match map.get("kernel") {
-                Some(v) => ScanKernel::parse(v).ok_or_else(|| {
-                    err(format!(
-                        "--kernel: `{v}` is not auto, direct, memoized, or bitmask"
-                    ))
-                })?,
-                None => ScanKernel::Auto,
-            };
             Ok(Command::Worker(WorkerArgs {
                 connect,
                 threads: parse_usize(&map, "threads", 0)?,
-                kernel,
+                kernel: parse_kernel(&map)?,
             }))
         }
         "generate" => {
@@ -1220,7 +1201,7 @@ pub fn build_miner(args: &MineArgs, sink: Option<Arc<dyn ProgressSink>>) -> Mine
 
 /// The [`WorkerSpawn`] a production `qar mine --workers N` uses: child
 /// processes of this very binary running `qar worker`, inheriting the
-/// mine's thread and kernel flags.
+/// mine's thread flag and kernel pin.
 fn process_spawn(config: &MinerConfig) -> Result<WorkerSpawn, CliError> {
     let exe = std::env::current_exe()
         .map_err(|e| err(format!("cannot locate the qar binary for workers: {e}")))?;
@@ -1229,9 +1210,9 @@ fn process_spawn(config: &MinerConfig) -> Result<WorkerSpawn, CliError> {
         worker_args.push("--threads".to_string());
         worker_args.push(threads.get().to_string());
     }
-    if config.kernel != ScanKernel::Auto {
+    if let Some(kernel) = config.kernel {
         worker_args.push("--kernel".to_string());
-        worker_args.push(config.kernel.name().to_string());
+        worker_args.push(kernel.name().to_string());
     }
     Ok(WorkerSpawn::Processes {
         exe,
@@ -2810,10 +2791,7 @@ struct BenchDistSource<'a> {
 
 impl BenchDistSource<'_> {
     fn opts() -> qar_core::supercand::ScanOptions<'static> {
-        qar_core::supercand::ScanOptions {
-            kernel: ScanKernel::Auto,
-            ..qar_core::supercand::ScanOptions::new(1)
-        }
+        qar_core::supercand::ScanOptions::new(1)
     }
 }
 
@@ -3226,17 +3204,14 @@ mod tests {
             PartitionSpec::CompletenessLevel(2.0)
         );
         assert!(args.config.interest.is_none());
-        assert_eq!(args.config.kernel, ScanKernel::Auto);
+        assert_eq!(args.config.kernel, None);
         assert_eq!(args.top, 50);
     }
 
     #[test]
     fn kernel_flag() {
         for (flag, want) in [
-            ("auto", ScanKernel::Auto),
             ("direct", ScanKernel::Direct),
-            ("memoized", ScanKernel::Memoized),
-            ("memo", ScanKernel::Memoized),
             ("bitmask", ScanKernel::Bitmask),
         ] {
             let cmd = parse_command(&argv(&format!(
@@ -3244,16 +3219,13 @@ mod tests {
             )))
             .unwrap();
             let Command::Mine(args) = cmd else { panic!() };
-            assert_eq!(args.config.kernel, want, "--kernel {flag}");
+            assert_eq!(args.config.kernel, Some(want), "--kernel {flag}");
         }
-        assert!(parse_command(&argv("mine --input f --schema a:q --kernel turbo")).is_err());
-        // An explicit --kernel wins over the deprecated --no-memoize alias.
-        let cmd = parse_command(&argv(
-            "mine --input f --schema a:q --kernel bitmask --no-memoize",
-        ))
-        .unwrap();
-        let Command::Mine(args) = cmd else { panic!() };
-        assert_eq!(args.config.kernel, ScanKernel::Bitmask);
+        // Unknown spellings (including the removed `auto`) are rejected.
+        for flags in ["--kernel turbo", "--kernel auto"] {
+            let line = format!("mine --input f --schema a:q {flags}");
+            assert!(parse_command(&argv(&line)).is_err(), "{flags}");
+        }
     }
 
     #[test]
@@ -3261,7 +3233,7 @@ mod tests {
         let cmd = parse_command(&argv(
             "mine --input - --schema a:q,b:c --minsup 0.1 --minconf 0.6 --maxsup 0.3 \
              --intervals 8 --strategy kmeans --interest 1.5 --interest-mode and \
-             --max-size 3 --top 10 --all-rules --no-memoize",
+             --max-size 3 --top 10 --all-rules --kernel direct",
         ))
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
@@ -3273,7 +3245,7 @@ mod tests {
         assert_eq!(interest.mode, InterestMode::SupportAndConfidence);
         assert!(interest.prune_candidates);
         assert_eq!(args.config.max_itemset_size, 3);
-        assert_eq!(args.config.kernel, ScanKernel::Direct);
+        assert_eq!(args.config.kernel, Some(ScanKernel::Direct));
         assert!(!args.interesting_only);
         assert_eq!(args.format, OutputFormat::Text);
     }
@@ -3789,35 +3761,11 @@ mod tests {
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         assert!(args.analytics);
-        assert!(args.warnings.is_empty());
         let cmd = parse_command(&argv("mine --input f --schema a:q --store cat.qarcat")).unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         assert!(!args.analytics);
         let e = parse_command(&argv("mine --input f --schema a:q --analytics")).unwrap_err();
         assert!(e.to_string().contains("--store"), "{e}");
-    }
-
-    /// `--no-memoize` still parses (as `--kernel direct`) but now earns
-    /// a deprecation warning the binary prints to stderr.
-    #[test]
-    fn no_memoize_earns_deprecation_warning() {
-        let cmd = parse_command(&argv("mine --input f --schema a:q --no-memoize")).unwrap();
-        let Command::Mine(args) = cmd else { panic!() };
-        assert_eq!(args.config.kernel, ScanKernel::Direct);
-        assert_eq!(args.warnings.len(), 1, "{:?}", args.warnings);
-        assert!(
-            args.warnings[0].contains("deprecated"),
-            "{:?}",
-            args.warnings
-        );
-        assert!(
-            args.warnings[0].contains("--kernel direct"),
-            "{:?}",
-            args.warnings
-        );
-        let cmd = parse_command(&argv("mine --input f --schema a:q --kernel direct")).unwrap();
-        let Command::Mine(args) = cmd else { panic!() };
-        assert!(args.warnings.is_empty(), "{:?}", args.warnings);
     }
 
     #[test]
@@ -4130,7 +4078,7 @@ mod tests {
             Command::Worker(WorkerArgs {
                 connect: "127.0.0.1:7001".into(),
                 threads: 0,
-                kernel: ScanKernel::Auto,
+                kernel: None,
             })
         );
         let cmd =
@@ -4140,7 +4088,7 @@ mod tests {
             Command::Worker(WorkerArgs {
                 connect: "h:1".into(),
                 threads: 2,
-                kernel: ScanKernel::Bitmask,
+                kernel: Some(ScanKernel::Bitmask),
             })
         );
         let e = parse_command(&argv("worker")).unwrap_err();
@@ -4316,7 +4264,6 @@ mod tests {
             "--interest 1.1",
             "--interest-mode prune",
             "--max-size 3",
-            "--no-memoize",
         ] {
             let e = parse_command(&argv(&format!(
                 "mine --input d.csv --update c.qarcat {flags}"

@@ -112,13 +112,14 @@ fn parallel_mining_equals_serial() {
     });
 }
 
-/// The scan-kernel equivalence property: the memoized blocked scan must
-/// count every candidate bit-identically to the direct (cache-off) scan
-/// and to the brute-force recount, at any thread count. The generated
-/// tables are duplicate-heavy (small domains), so the memo cache's hit
-/// path executes on nearly every row.
+/// The scan-kernel equivalence property: the default scan (the kernel
+/// rule's pick) must count every candidate bit-identically to the pinned
+/// direct scan and to the brute-force recount, at any thread count, and
+/// report the kernel it ran. The generated tables are duplicate-heavy
+/// (small domains), so every candidate's categorical part matches many
+/// rows.
 #[test]
-fn memoized_scan_equals_direct_and_naive() {
+fn default_scan_equals_direct_and_naive() {
     use quantrules::core::supercand::{count_candidates_naive, count_candidates_opts, ScanOptions};
     use quantrules::core::ScanKernel;
     cases(48, 0x5EED_4242_0006, |case, rng| {
@@ -140,7 +141,7 @@ fn memoized_scan_equals_direct_and_naive() {
         }
         let naive = count_candidates_naive(&encoded, &candidates);
         for threads in [1usize, 2, 4, 7] {
-            for kernel in [ScanKernel::Direct, ScanKernel::Memoized] {
+            for kernel in [None, Some(ScanKernel::Direct)] {
                 let opts = ScanOptions {
                     kernel,
                     ..ScanOptions::new(threads)
@@ -149,17 +150,13 @@ fn memoized_scan_equals_direct_and_naive() {
                     .expect("no cancel token");
                 assert_eq!(
                     counts, naive,
-                    "case {case}: threads {threads} kernel {kernel}"
+                    "case {case}: threads {threads} kernel {kernel:?}"
                 );
-                assert_eq!(
-                    stats.memoized,
-                    kernel == ScanKernel::Memoized,
-                    "case {case}"
+                assert!(
+                    ["direct", "bitmask"].contains(&stats.kernel.as_str()),
+                    "case {case}: kernel `{}`",
+                    stats.kernel
                 );
-                if kernel == ScanKernel::Direct {
-                    assert_eq!(stats.memo_hits, 0, "case {case}");
-                    assert_eq!(stats.distinct_tuples, 0, "case {case}");
-                }
             }
         }
     });
@@ -167,11 +164,10 @@ fn memoized_scan_equals_direct_and_naive() {
 
 /// The bitmask-kernel equivalence property: the blocked bitmask scan
 /// must count every candidate bit-identically to the direct scan and to
-/// the brute-force recount, at any thread count — including the `Auto`
-/// selector, which may resolve to different kernels per shard. Tables
-/// are small (tail-masking territory) with codes concentrated at the
-/// domain boundaries, so `lo == hi` rectangles and dead-predicate
-/// pre-screening both occur.
+/// the brute-force recount, at any thread count. Tables are small
+/// (tail-masking territory) with codes concentrated at the domain
+/// boundaries, so `lo == hi` rectangles and dead-predicate pre-screening
+/// both occur.
 #[test]
 fn bitmask_scan_equals_direct_and_naive() {
     use quantrules::core::supercand::{count_candidates_naive, count_candidates_opts, ScanOptions};
@@ -197,7 +193,7 @@ fn bitmask_scan_equals_direct_and_naive() {
             &candidates,
             None,
             ScanOptions {
-                kernel: ScanKernel::Direct,
+                kernel: Some(ScanKernel::Direct),
                 ..ScanOptions::new(1)
             },
         )
@@ -205,22 +201,14 @@ fn bitmask_scan_equals_direct_and_naive() {
         .0;
         assert_eq!(direct, naive, "case {case}: direct vs naive");
         for threads in [1usize, 2, 4, 7] {
-            for kernel in [ScanKernel::Bitmask, ScanKernel::Auto] {
-                let opts = ScanOptions {
-                    kernel,
-                    ..ScanOptions::new(threads)
-                };
-                let (counts, stats) = count_candidates_opts(&encoded, &candidates, None, opts)
-                    .expect("no cancel token");
-                assert_eq!(
-                    counts, naive,
-                    "case {case}: threads {threads} kernel {kernel}"
-                );
-                if kernel == ScanKernel::Bitmask {
-                    assert_eq!(stats.kernel, "bitmask", "case {case}");
-                    assert_eq!(stats.memo_hits, 0, "case {case}");
-                }
-            }
+            let opts = ScanOptions {
+                kernel: Some(ScanKernel::Bitmask),
+                ..ScanOptions::new(threads)
+            };
+            let (counts, stats) =
+                count_candidates_opts(&encoded, &candidates, None, opts).expect("no cancel token");
+            assert_eq!(counts, naive, "case {case}: threads {threads}");
+            assert_eq!(stats.kernel, "bitmask", "case {case}");
         }
     });
 }

@@ -98,7 +98,7 @@ fn every_emitted_event_validates_against_the_checked_in_schema() {
             assert_eq!(kernel, "direct", "pass 1 kernel");
         } else {
             assert!(
-                ["direct", "memoized", "bitmask", "mixed"].contains(&kernel.as_str()),
+                ["direct", "bitmask", "mixed"].contains(&kernel.as_str()),
                 "pass {pass} reported unknown kernel `{kernel}`"
             );
         }
